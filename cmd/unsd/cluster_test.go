@@ -544,6 +544,26 @@ func TestStreamSubscribeRateCap(t *testing.T) {
 		t.Fatalf("cap admitted %d of %d offered — not a cap", s.Offered-s.Capped, s.Offered)
 	}
 
+	// A scrape alone must be able to check the subscription's ledger, the
+	// capped term included: every snapshot of a live subscription satisfies
+	// offered == delivered + dropped + filtered + capped + buffered.
+	scr := scrapeMetrics(t, ts)
+	term := func(name string) uint64 {
+		fam := scr.Family("unsd_subscriber_" + name)
+		if fam == nil || len(fam.Samples) != 1 {
+			t.Fatalf("unsd_subscriber_%s: want one sample, got %+v", name, fam)
+		}
+		return uint64(fam.Samples[0].Value)
+	}
+	offered, capped := term("offered_ids_total"), term("capped_ids_total")
+	if capped == 0 {
+		t.Fatal("unsd_subscriber_capped_ids_total is 0 for a subscription /stats shows capped")
+	}
+	if sum := term("delivered_ids_total") + term("dropped_ids_total") + term("filtered_ids_total") +
+		capped + term("queue_depth_ids"); sum != offered {
+		t.Fatalf("scraped ledger: delivered + dropped + filtered + capped %d + buffered = %d, offered %d", capped, sum, offered)
+	}
+
 	// Wire-form validation: SubscribeRate rejects a zero rate locally.
 	if _, err := c.SubscribeRate(16, 1, 0); err == nil {
 		t.Fatal("zero rate accepted")

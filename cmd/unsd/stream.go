@@ -58,11 +58,13 @@ type streamServer struct {
 
 	// Connection accounting for /metrics: accepted admissions, refusals at
 	// the connection limit, and protocol violations (undecodable frames,
-	// unexpected types, double subscribes). Plain atomics — the telemetry
-	// collector reads them at scrape time.
+	// unexpected types, double subscribes); and StreamData frames written,
+	// which beside the subscribers' delivered ids gives ids per frame. Plain
+	// atomics — the telemetry collector reads them at scrape time.
 	accepted    atomic.Uint64
 	rejected    atomic.Uint64
 	frameErrors atomic.Uint64
+	dataFrames  atomic.Uint64
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -234,20 +236,29 @@ func (s *streamServer) drop(conn net.Conn) {
 
 // connWriter serialises frame writes from the read loop (sample responses,
 // pongs, errors) and the subscription writer onto one connection. Every
-// write carries a deadline so a stalled subscriber's TCP window cannot pin
-// the goroutine forever.
+// frame is encoded into the connection's one buffer, reused under the lock,
+// and reaches the wire in a single Write, so a steady stream of frames
+// allocates nothing. Every write carries a deadline so a stalled
+// subscriber's TCP window cannot pin the goroutine forever.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
+	buf  []byte
 }
 
 func (w *connWriter) write(f netgossip.Frame) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	buf, err := netgossip.AppendFrame(w.buf[:0], f)
+	if err != nil {
+		return err
+	}
+	w.buf = buf
 	if err := w.conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil {
 		return err
 	}
-	return netgossip.WriteFrame(w.conn, f)
+	_, err = w.conn.Write(buf)
+	return err
 }
 
 // handle runs one framed connection until protocol error, read failure or
@@ -428,7 +439,7 @@ func (s *streamServer) handle(conn net.Conn) {
 				}
 			}
 			subDone = make(chan struct{})
-			go streamWriter(sub, w, subDone)
+			go s.streamWriter(sub, w, subDone)
 		case netgossip.FramePing:
 			if err := w.write(netgossip.Frame{Type: netgossip.FramePong, Token: f.Token}); err != nil {
 				return
@@ -441,33 +452,23 @@ func (s *streamServer) handle(conn net.Conn) {
 	}
 }
 
-// streamWriter forwards a subscription's σ′ draws as StreamData frames,
-// batching greedily: after a blocking read it drains whatever else is
-// already buffered (up to the wire limit) into the same frame, so a fast
-// stream costs one syscall per burst rather than per id. Exits when the
-// subscription is cancelled or the connection dies.
-func streamWriter(sub *subhub.Subscription, w *connWriter, done chan struct{}) {
+// streamWriter forwards a subscription's σ′ draws as StreamData frames, a
+// batch at a time: whatever the ring holds when Next returns (up to the wire
+// limit) becomes one frame and one socket write, so what accumulates during
+// a write rides the next frame and a fast stream costs one syscall per
+// burst rather than per id. It is the subscription's only goroutine, and
+// waits in Next without the connection's write lock, which the read loop's
+// Pongs share. Exits when the subscription is cancelled or the connection
+// dies.
+func (s *streamServer) streamWriter(sub *subhub.Subscription, w *connWriter, done chan struct{}) {
 	defer close(done)
-	batch := make([]uint64, 0, netgossip.MaxBatch)
+	batch := make([]uint64, netgossip.MaxBatch)
 	for {
-		id, ok := <-sub.C()
+		ids, ok := sub.Next(batch)
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], id)
-	fill:
-		for len(batch) < cap(batch) {
-			select {
-			case id, ok := <-sub.C():
-				if !ok {
-					break fill
-				}
-				batch = append(batch, id)
-			default:
-				break fill
-			}
-		}
-		if err := w.write(netgossip.Frame{Type: netgossip.FrameStreamData, IDs: batch}); err != nil {
+		if err := w.write(netgossip.Frame{Type: netgossip.FrameStreamData, IDs: ids}); err != nil {
 			// The connection is gone, or the subscriber stalled past the
 			// write deadline — in which case a partial write may have left a
 			// truncated frame on the wire, so the connection is unusable
@@ -477,6 +478,7 @@ func streamWriter(sub *subhub.Subscription, w *connWriter, done chan struct{}) {
 			_ = w.conn.Close()
 			return
 		}
+		s.dataFrames.Add(1)
 	}
 }
 

@@ -4,13 +4,17 @@ import (
 	"context"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nodesampling"
 	"nodesampling/client"
 	"nodesampling/internal/netgossip"
+	"nodesampling/internal/subhub"
+	"nodesampling/internal/telemetry"
 )
 
 func testContext(t *testing.T) (context.Context, context.CancelFunc) {
@@ -357,4 +361,200 @@ func TestStreamSubscribeDecimation(t *testing.T) {
 	if kept := sub.Offered - sub.Filtered; kept != sub.Offered/every {
 		t.Fatalf("kept %d of %d offered, want 1 in %d", kept, sub.Offered, every)
 	}
+}
+
+// discardConn accepts every write and deadline: the far end of a
+// connWriter whose socket is not the subject.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestStreamWriterAllocatesNothingPerFrame runs the real subscription
+// writer against a discard connection and requires the steady state — ring
+// to Next to encode to Write, once per published batch — to allocate
+// nothing: the batch buffer and the connection's encode buffer are reused.
+func TestStreamWriterAllocatesNothingPerFrame(t *testing.T) {
+	hub := subhub.New()
+	sub, err := hub.Subscribe(netgossip.MaxBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &streamServer{}
+	done := make(chan struct{})
+	go s.streamWriter(sub, &connWriter{conn: discardConn{}}, done)
+	batch := make([]uint64, 1000)
+	frame := func() {
+		sent := s.dataFrames.Load()
+		hub.Publish(batch)
+		for s.dataFrames.Load() == sent {
+			runtime.Gosched()
+		}
+	}
+	frame() // the first frame sizes the encode buffer
+	allocs := testing.AllocsPerRun(200, frame)
+	hub.Close()
+	<-done
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per StreamData frame, want 0", allocs)
+	}
+	if got, want := sub.Delivered(), s.dataFrames.Load()*uint64(len(batch)); got != want || sub.Dropped() != 0 {
+		t.Fatalf("delivered %d dropped %d over %d frames, want %d and 0", got, sub.Dropped(), s.dataFrames.Load(), want)
+	}
+}
+
+// TestStreamSubscribersReceiveEmittedSequence is the batch path end to end:
+// two loopback subscribers and an in-process reference subscription ride
+// one hub while a client pushes in phases that together wrap the
+// subscribers' rings. Each socket must carry exactly the sequence the hub
+// published, in order, in StreamData frames of at most MaxBatch ids, and
+// after the drain /metrics must say delivered what the sockets received.
+func TestStreamSubscribersReceiveEmittedSequence(t *testing.T) {
+	d, ln := testStreamDaemon(t, defaultOptions())
+	ts := httptest.NewServer(d.handler())
+	defer ts.Close()
+
+	// A phase fits a subscriber's ring whatever the reader's pace, so
+	// nothing can be dropped; the reference holds all three.
+	const phases, perPhase = 3, 30000
+	ref, err := d.pool.Subscribe(phases * perPhase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Cancel()
+
+	type socket struct {
+		conn     net.Conn
+		received atomic.Uint64
+		done     chan struct{}
+		ids      []uint64 // owned by the reader until done closes
+		frames   uint64
+	}
+	socks := make([]*socket, 2)
+	for i := range socks {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		sk := &socket{conn: conn, done: make(chan struct{})}
+		socks[i] = sk
+		// The legacy Subscribe form is not acknowledged; the Pong behind it
+		// proves the read loop has registered the subscription.
+		for _, f := range []netgossip.Frame{
+			{Type: netgossip.FrameSubscribe, N: maxSubscribeBuffer},
+			{Type: netgossip.FramePing, Token: 1},
+		} {
+			if err := netgossip.WriteFrame(conn, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f, err := netgossip.ReadFrame(conn); err != nil || f.Type != netgossip.FramePong {
+			t.Fatalf("subscriber %d: (%+v, %v), want the Pong", i, f, err)
+		}
+		go func() {
+			defer close(sk.done)
+			fr := netgossip.NewFrameReader(conn)
+			for {
+				f, err := fr.Read()
+				if err != nil {
+					return // closed by the test
+				}
+				if f.Type != netgossip.FrameStreamData || len(f.IDs) == 0 || len(f.IDs) > netgossip.MaxBatch {
+					t.Errorf("subscriber frame type %d with %d ids", f.Type, len(f.IDs))
+					return
+				}
+				sk.ids = append(sk.ids, f.IDs...)
+				sk.frames++
+				sk.received.Add(uint64(len(f.IDs)))
+			}
+		}()
+	}
+
+	pusher, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pusher.Close()
+	// Subscriptions are numbered in registration order: the reference is 1.
+	sockLabels := []string{"2", "3"}
+	var scr *telemetry.Scrape
+	metric := func(name, sub string) uint64 {
+		v, ok := scr.Value(name, "subscriber", sub)
+		if !ok {
+			t.Fatalf("%s{subscriber=%q} not exported", name, sub)
+		}
+		return uint64(v)
+	}
+	batch := make([]nodesampling.NodeID, 1000)
+	for phase := 0; phase < phases; phase++ {
+		for sent := 0; sent < perPhase; sent += len(batch) {
+			for i := range batch {
+				batch[i] = nodesampling.NodeID(1 + (phase*perPhase+sent+i)%5000)
+			}
+			if err := pusher.PushBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pusher.Ping(); err != nil { // every frame before it is ingested
+			t.Fatal(err)
+		}
+		if err := d.pool.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		pushed := uint64((phase + 1) * perPhase)
+		waitFor(t, "the phase's draws to reach both sockets", func() bool {
+			scr = scrapeMetrics(t, ts)
+			shed, _ := scr.Value("unsd_pool_emit_dropped_ids_total")
+			if ref.Offered()+uint64(shed) != pushed {
+				return false
+			}
+			for i, sk := range socks {
+				if metric("unsd_subscriber_queue_depth_ids", sockLabels[i]) != 0 ||
+					sk.received.Load() != metric("unsd_subscriber_delivered_ids_total", sockLabels[i]) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+
+	for _, sk := range socks {
+		_ = sk.conn.Close()
+		<-sk.done
+	}
+	want := make([]uint64, 0, ref.Offered())
+	for uint64(len(want)) < ref.Offered() {
+		ids, ok := ref.Next(make([]uint64, netgossip.MaxBatch))
+		if !ok {
+			t.Fatal("reference subscription cancelled")
+		}
+		want = append(want, ids...)
+	}
+	// The pool's emit buffer may shed draws in a burst, before the hub and
+	// so for every subscriber alike; what the hub published is the sequence.
+	if ref.Dropped() != 0 || len(want) == 0 {
+		t.Fatalf("reference saw %d draws and dropped %d of %d pushed ids", len(want), ref.Dropped(), phases*perPhase)
+	}
+	var frames uint64
+	for i, sk := range socks {
+		for _, name := range []string{"dropped", "filtered", "capped"} {
+			if v := metric("unsd_subscriber_"+name+"_ids_total", sockLabels[i]); v != 0 {
+				t.Errorf("subscriber %d: %s %d, want 0", i, name, v)
+			}
+		}
+		if got := metric("unsd_subscriber_delivered_ids_total", sockLabels[i]); got != uint64(len(sk.ids)) || got != uint64(len(want)) {
+			t.Errorf("subscriber %d: /metrics delivered %d, socket received %d, hub published %d", i, got, len(sk.ids), len(want))
+		}
+		if !equalU64(sk.ids, want) {
+			t.Errorf("subscriber %d did not receive the published sequence in order", i)
+		}
+		frames += sk.frames
+	}
+	// A frame is counted once its write has returned, which the far end's
+	// read can beat by a moment.
+	waitFor(t, "unsd_stream_data_frames_total to count the frames the sockets read", func() bool {
+		got, _ := scrapeMetrics(t, ts).Value("unsd_stream_data_frames_total")
+		return uint64(got) == frames
+	})
 }

@@ -98,11 +98,12 @@ func (d *daemon) newRegistry() *telemetry.Registry {
 // front-ends' connection accounting, admin-plane auth failures, and the
 // durability plane's snapshot outcomes.
 func (d *daemon) collectDaemon() []telemetry.Family {
-	var accepted, rejected, frameErrs, conns float64
+	var accepted, rejected, frameErrs, dataFrames, conns float64
 	if s := d.stream; s != nil {
 		accepted = float64(s.accepted.Load())
 		rejected = float64(s.rejected.Load())
 		frameErrs = float64(s.frameErrors.Load())
+		dataFrames = float64(s.dataFrames.Load())
 		conns = float64(d.streamConns())
 	}
 	return []telemetry.Family{
@@ -133,6 +134,9 @@ func (d *daemon) collectDaemon() []telemetry.Family {
 		telemetry.C("unsd_stream_frame_errors_total",
 			"Framed-protocol violations: undecodable frames, unexpected types, double subscribes.",
 			frameErrs),
+		telemetry.C("unsd_stream_data_frames_total",
+			"StreamData frames written to subscribers; delivered ids over this is the batch a socket write carries.",
+			dataFrames),
 		telemetry.C("unsd_auth_failures_total",
 			"Requests rejected by the admin bearer-token gate (missing or wrong credential).",
 			float64(d.authFailures.Load())),

@@ -128,6 +128,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"unsd_autoscale_ticks_total", "unsd_autoscale_resizes_total",
 		"unsd_stream_connections", "unsd_stream_accepted_total",
 		"unsd_stream_frame_errors_total", "unsd_gossip_connections",
+		"unsd_stream_data_frames_total", "unsd_subscriber_capped_ids_total",
 		"unsd_auth_failures_total", "unsd_snapshot_writes_total",
 		"unsd_snapshot_failures_total", "unsd_snapshot_sealed",
 		"unsd_uniformity_input_kl", "unsd_uniformity_output_kl",

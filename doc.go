@@ -158,7 +158,17 @@
 // loses the oldest buffered elements — which a sampling stream can always
 // afford, since a later draw carries the same information — and never
 // backpressures ingestion; Stats reports exact per-subscriber
-// offered/delivered/dropped/filtered accounting. Subscriptions may opt
+// offered/delivered/dropped/filtered/capped accounting. From buffer to
+// consumer a batch is the unit of delivery: a subscription's ring is
+// drained with Next, which blocks until draws are buffered and moves up to
+// a buffer's worth out under one lock, so the daemon's stream writer runs
+// ring → Next → one StreamData frame → one socket write on a single
+// goroutine per subscriber, allocating nothing per frame
+// (unsd_subscriber_delivered_ids_total over unsd_stream_data_frames_total
+// is the batch a write carries). The channels this package hands out
+// (PoolSubscription.C, Service.Subscribe) sit on the hub's C, an adapter
+// goroutine that feeds Next's batches into a channel id by id, started
+// only for consumers that ask for it. Subscriptions may opt
 // into decimation (SubscribeEvery): only every k-th draw is delivered, so
 // a modest consumer rides a fast pool at a rate it can afford — a 1-in-k
 // thinning of an i.i.d. uniform stream is itself i.i.d. uniform. A

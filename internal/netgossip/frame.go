@@ -1,6 +1,7 @@
 package netgossip
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -269,7 +270,8 @@ func WriteFrame(w io.Writer, f Frame) error {
 // Each call decodes into fresh buffers, so the returned Frame (including
 // IDs) may be retained indefinitely. Long-lived read loops that consume a
 // frame before reading the next should use a FrameReader instead, which
-// amortises the buffers across calls.
+// amortises the buffers across calls. ReadFrame reads from r unbuffered: it
+// never consumes a byte past its frame, so r can be handed on afterwards.
 func ReadFrame(r io.Reader) (Frame, error) {
 	return (&FrameReader{r: r}).Read()
 }
@@ -287,8 +289,18 @@ type FrameReader struct {
 	ids     []uint64
 }
 
-// NewFrameReader returns a FrameReader decoding from r.
-func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+// frameReadBuffer sizes a FrameReader's read-ahead: a small frame's header
+// and payload, and the frames queued behind it (a Ping after a 16-id push),
+// arrive in one read of the connection instead of one per part. Payloads
+// larger than the buffer bypass it.
+const frameReadBuffer = 8 << 10
+
+// NewFrameReader returns a FrameReader decoding from r, which it reads
+// ahead of the frames it has returned: r belongs to the FrameReader from
+// here on.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: bufio.NewReaderSize(r, frameReadBuffer)}
+}
 
 // Read reads and validates one frame, exactly like ReadFrame except that
 // the returned Frame's IDs alias the reader's internal buffer and are

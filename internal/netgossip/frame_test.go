@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func roundTrip(t *testing.T, f Frame) Frame {
@@ -462,5 +464,63 @@ func TestReadFrameStillAllocatesFresh(t *testing.T) {
 	}
 	if f1.IDs[0] != 1 || f2.IDs[0] != 2 {
 		t.Fatalf("ids corrupted: %v %v", f1.IDs, f2.IDs)
+	}
+}
+
+// TestFrameReaderReadBoundaries feeds one frame sequence to a FrameReader
+// through readers that return a byte at a time, half of each request, and
+// everything at once: where the underlying reads fall must not show in the
+// frames. The sequence puts small frames back to back (they share one
+// buffered read), and payloads larger than the read-ahead buffer (they
+// bypass it) between them.
+func TestFrameReaderReadBoundaries(t *testing.T) {
+	big := make([]uint64, MaxBatch)
+	for i := range big {
+		big[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	blob := bytes.Repeat([]byte{0xa5, 0x5a, 0x01}, frameReadBuffer)
+	seq := []Frame{
+		{Type: FramePushBatch, IDs: []uint64{5, 6}},
+		{Type: FramePing, Token: 3},
+		{Type: FramePushBatch, IDs: big},
+		{Type: FramePing, Token: 4},
+		{Type: FrameSubscribe, N: 64, Every: 3, Rate: 9, Token: 77},
+		{Type: FrameMigrateState, Blob: blob},
+		{Type: FrameForward, Token: 2, IDs: big[:1000]},
+		{Type: FrameStreamData, IDs: []uint64{9}},
+		{Type: FrameError, Msg: "nope"},
+	}
+	var wire []byte
+	for _, f := range seq {
+		var err error
+		if wire, err = AppendFrame(wire, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode := func(name string, r io.Reader) []Frame {
+		fr := NewFrameReader(r)
+		var out []Frame
+		for {
+			f, err := fr.Read()
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatalf("%s: frame %d: %v", name, len(out), err)
+			}
+			// IDs and Blob alias the reader's buffers until the next Read.
+			f.IDs = append([]uint64(nil), f.IDs...)
+			f.Blob = append([]byte(nil), f.Blob...)
+			out = append(out, f)
+		}
+	}
+	for name, r := range map[string]io.Reader{
+		"one read":        bytes.NewReader(wire),
+		"one byte a read": iotest.OneByteReader(bytes.NewReader(wire)),
+		"half a read":     iotest.HalfReader(bytes.NewReader(wire)),
+	} {
+		if got := decode(name, r); !reflect.DeepEqual(got, seq) {
+			t.Fatalf("%s: decoded frames differ from the %d sent", name, len(seq))
+		}
 	}
 }

@@ -4,13 +4,22 @@
 // the producer.
 //
 // Each subscriber owns a fixed-capacity ring buffer filled by Publish under
-// a non-blocking drop-oldest policy, and a pump goroutine that moves ring
-// contents onto the subscriber's delivery channel. Publish only appends to
-// rings — it never blocks and never waits for a consumer — so ingestion
-// throughput is decoupled from delivery entirely, mirroring the root
-// package's Service guarantee that a lagging subscriber costs dropped
-// stream elements (which a sampling stream can always afford: a later draw
-// carries the same information) rather than stalling the pipeline.
+// a non-blocking drop-oldest policy. Publish only appends to rings — it
+// never blocks and never waits for a consumer — so ingestion throughput is
+// decoupled from delivery entirely, mirroring the root package's Service
+// guarantee that a lagging subscriber costs dropped stream elements (which
+// a sampling stream can always afford: a later draw carries the same
+// information) rather than stalling the pipeline.
+//
+// A batch is the unit of delivery. The consumer drains its ring with Next,
+// which blocks until ids are buffered and moves up to a buffer's worth out
+// in one critical section — the daemon's stream writer runs ring → Next →
+// one StreamData frame → one socket write, on the consumer's own goroutine,
+// with no per-id hand-off anywhere. C is the channel-shaped adapter over
+// the same primitive for consumers that want one id at a time: its first
+// call starts a goroutine that feeds Next's batches into a buffered
+// channel. A subscription is drained through one or the other, by one
+// goroutine.
 //
 // Subscriptions may opt into decimation (SubscribeEvery): only every k-th
 // offered id enters the ring, so a modest consumer rides a fast hub
@@ -22,11 +31,11 @@
 // "at most R ids/second" regardless of how fast the pool runs.
 //
 // Accounting is exact: every id offered to a subscription is eventually
-// counted as delivered (handed to the delivery channel), dropped
-// (overwritten in the ring, or discarded at cancellation), filtered
-// (thinned away by the decimation interval) or capped (discarded by the
-// rate limiter), so Offered == Delivered + Dropped + Filtered + Capped
-// once a subscription has been cancelled.
+// counted as delivered (handed out by Next, to the consumer or into C's
+// channel), dropped (overwritten in the ring, or discarded at
+// cancellation), filtered (thinned away by the decimation interval) or
+// capped (discarded by the rate limiter), so Offered == Delivered + Dropped
+// + Filtered + Capped once a subscription has been cancelled.
 package subhub
 
 import (
@@ -73,8 +82,8 @@ func (h *Hub) Active() bool { return h.active.Load() > 0 }
 // NumSubscribers returns the current number of live subscriptions.
 func (h *Hub) NumSubscribers() int { return int(h.active.Load()) }
 
-// Subscribe registers a new subscriber with a ring buffer (and delivery
-// channel) of the given capacity, in ids.
+// Subscribe registers a new subscriber with a ring buffer (and, once C is
+// called, a delivery channel) of the given capacity, in ids.
 func (h *Hub) Subscribe(capacity int) (*Subscription, error) {
 	return h.SubscribeEvery(capacity, 1)
 }
@@ -95,7 +104,7 @@ func (h *Hub) SubscribeEvery(capacity, every int) (*Subscription, error) {
 
 // SubOptions parameterises SubscribeWith, the full subscription surface.
 type SubOptions struct {
-	// Capacity is the ring buffer (and delivery channel) size, in ids.
+	// Capacity is the ring buffer (and C's delivery channel) size, in ids.
 	// Required, in [1, MaxSubscriptionBuffer].
 	Capacity int
 	// Every is the decimation interval (0 and 1 both deliver everything),
@@ -133,17 +142,15 @@ func (h *Hub) SubscribeWith(o SubOptions) (*Subscription, error) {
 	}
 	h.nextID++
 	s := &Subscription{
-		id:       h.nextID,
-		hub:      h,
-		every:    uint64(every),
-		seen:     o.InitialSeen % uint64(every),
-		rate:     float64(o.RatePerSec),
-		ring:     make([]uint64, capacity),
-		out:      make(chan uint64, capacity),
-		wake:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		pumpDone: make(chan struct{}),
-		now:      func() int64 { return time.Now().UnixNano() },
+		id:    h.nextID,
+		hub:   h,
+		every: uint64(every),
+		seen:  o.InitialSeen % uint64(every),
+		rate:  float64(o.RatePerSec),
+		ring:  make([]uint64, capacity),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		now:   func() int64 { return time.Now().UnixNano() },
 	}
 	if s.rate > 0 {
 		// A full bucket at birth: the first second's budget is available
@@ -154,7 +161,6 @@ func (h *Hub) SubscribeWith(o SubOptions) (*Subscription, error) {
 	h.subs = append(h.subs, s)
 	h.active.Add(1)
 	h.mu.Unlock()
-	go s.pump()
 	return s, nil
 }
 
@@ -184,12 +190,12 @@ func (h *Hub) Publish(ids []uint64) {
 type SubStats struct {
 	ID        uint64 // stable per-hub subscription identifier
 	Offered   uint64 // ids published while this subscription was live
-	Delivered uint64 // ids handed to the delivery channel
+	Delivered uint64 // ids handed out by Next (for C: on their way into the channel)
 	Dropped   uint64 // ids overwritten in the ring or discarded at cancel
 	Filtered  uint64 // ids thinned away by the decimation interval
 	Capped    uint64 // ids discarded by the delivery rate cap
 	Capacity  int    // ring capacity
-	Depth     int    // ids buffered and not yet consumed (ring + channel)
+	Depth     int    // ids buffered and not yet consumed (ring, plus C's channel)
 	Every     int    // decimation interval (1 delivers everything)
 	Rate      uint32 // delivery rate cap in ids/second (0 = uncapped)
 }
@@ -236,19 +242,13 @@ func (h *Hub) Close() {
 }
 
 // Subscription is one subscriber's endpoint: a ring buffer written by the
-// hub and a delivery channel read by the consumer. Obtain one from
-// Hub.Subscribe and release it with Cancel.
+// hub and drained by the consumer, in batches with Next or id by id from C.
+// Obtain one from Hub.Subscribe and release it with Cancel.
 type Subscription struct {
 	id  uint64
 	hub *Hub
 
-	// out is the delivery channel. Its buffer equals the ring capacity, so
-	// the total lag a subscriber can accumulate before losing elements is
-	// roughly twice the requested capacity.
-	out chan uint64
-
-	done       chan struct{} // closed by Cancel; unblocks the pump
-	pumpDone   chan struct{} // closed when the pump goroutine exits
+	done       chan struct{} // closed by Cancel; unblocks Next
 	cancelOnce sync.Once
 
 	mu     sync.Mutex
@@ -256,7 +256,14 @@ type Subscription struct {
 	head   int // index of the oldest buffered id
 	size   int // ids currently buffered
 	closed bool
-	wake   chan struct{} // capacity 1: at-least-once data signal for the pump
+	wake   chan struct{} // capacity 1: at-least-once data signal for Next
+
+	// out and fed exist only for a channel consumer: the first C call makes
+	// the delivery channel (buffered to the ring capacity, so such a
+	// subscriber can lag by roughly twice the requested capacity before
+	// losing elements) and starts feed, which closes fed on exit.
+	out chan uint64
+	fed chan struct{}
 
 	// every is the decimation interval; seen counts offered ids modulo it
 	// (guarded by mu, like the ring it feeds).
@@ -281,10 +288,28 @@ type Subscription struct {
 // ID returns the hub-assigned subscription identifier.
 func (s *Subscription) ID() uint64 { return s.id }
 
-// C returns the delivery channel. It is closed after Cancel (or hub Close)
-// once the pump has exited; ids already in the channel buffer remain
-// readable after the close.
-func (s *Subscription) C() <-chan uint64 { return s.out }
+// C returns the delivery channel, the id-at-a-time adapter over Next: the
+// first call starts the goroutine that moves the ring's batches into the
+// channel. It is closed after Cancel (or hub Close) once that goroutine has
+// exited; ids already in the channel buffer remain readable after the
+// close. A subscription drained through C must not also call Next.
+func (s *Subscription) C() <-chan uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.out == nil {
+		if s.closed {
+			// Cancelled before anybody asked: the ring was already written
+			// off, there is nothing to feed.
+			s.out = make(chan uint64)
+			close(s.out)
+		} else {
+			s.out = make(chan uint64, len(s.ring))
+			s.fed = make(chan struct{})
+			go s.feed()
+		}
+	}
+	return s.out
+}
 
 // Done returns a channel closed when the subscription is cancelled. Bridges
 // that forward C to another sink select on it to unblock a pending send.
@@ -294,7 +319,9 @@ func (s *Subscription) Done() <-chan struct{} { return s.done }
 // live.
 func (s *Subscription) Offered() uint64 { return s.offered.Load() }
 
-// Delivered returns how many ids were handed to the delivery channel.
+// Delivered returns how many ids Next has handed out: to a batch consumer,
+// or to C's goroutine on their way into the delivery channel (Cancel takes
+// back what no longer fits there).
 func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }
 
 // Dropped returns how many ids were lost to the drop-oldest policy (plus
@@ -323,22 +350,35 @@ func (s *Subscription) Seen() uint64 {
 	return s.seen
 }
 
-// Cancel detaches the subscription from the hub and closes the delivery
-// channel. Ids already buffered are flushed into the channel as far as its
-// capacity allows — without ever blocking — and the remainder is counted
-// as dropped, so Offered == Delivered + Dropped + Filtered + Capped holds
-// after cancellation and a consumer that kept up loses nothing to the
-// shutdown.
-// Idempotent and safe to call concurrently with Publish.
+// Cancel detaches the subscription from the hub and ends delivery, so that
+// Offered == Delivered + Dropped + Filtered + Capped holds when it returns.
+// What a batch consumer has not taken with Next by then is counted as
+// dropped. For a channel consumer the buffered ids are flushed into the
+// channel as far as its capacity allows — without ever blocking — before it
+// is closed, and only the remainder is dropped, so a consumer that kept up
+// loses nothing to the shutdown.
+// Idempotent and safe to call concurrently with Publish and Next.
 func (s *Subscription) Cancel() {
 	s.cancelOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true // no further offers enter the ring
+		fed := s.fed
+		if fed == nil {
+			s.discard()
+		}
 		s.mu.Unlock()
 		close(s.done)
 		s.hub.remove(s)
-		<-s.pumpDone
+		if fed != nil {
+			<-fed
+		}
 	})
+}
+
+// discard writes the ring's contents off as dropped. The caller holds mu.
+func (s *Subscription) discard() {
+	s.dropped.Add(uint64(s.size))
+	s.size = 0
 }
 
 // offer appends ids to the ring under the drop-oldest policy. Called by the
@@ -414,84 +454,89 @@ func (s *Subscription) offer(ids []uint64) {
 	}
 }
 
-// take moves the ring contents into buf. The pump keeps calling it after
-// Cancel to flush what was buffered before the cut (offers stop at Cancel,
-// so the drain terminates).
-func (s *Subscription) take(buf []uint64) []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.ring)
-	for i := 0; i < s.size; i++ {
-		buf = append(buf, s.ring[s.head])
-		s.head++
-		if s.head == n {
-			s.head = 0
+// Next blocks until the ring holds ids or the subscription is cancelled,
+// then moves up to cap(buf) of the oldest ids into buf (which must have
+// room for at least one), counts them delivered and returns them. It
+// returns false once the subscription is cancelled and nothing is left to
+// take. One goroutine drains a subscription; Next does not allocate.
+func (s *Subscription) Next(buf []uint64) ([]uint64, bool) {
+	for {
+		s.mu.Lock()
+		if s.size > 0 {
+			n := min(s.size, cap(buf))
+			buf = buf[:n]
+			// Two copies: up to the end of the ring, then the wrap-around.
+			k := copy(buf, s.ring[s.head:])
+			copy(buf[k:], s.ring)
+			if s.head += n; s.head >= len(s.ring) {
+				s.head -= len(s.ring)
+			}
+			s.size -= n
+			s.delivered.Add(uint64(n))
+			s.mu.Unlock()
+			return buf, true
+		}
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			return nil, false
+		}
+		select {
+		case <-s.wake:
+		case <-s.done:
 		}
 	}
-	s.size = 0
-	return buf
 }
 
-// pump moves ids from the ring to the delivery channel until cancellation,
-// then flushes the remainder non-blockingly (the channel buffer is the
-// last stop a cancelled subscription's ids can still reach). It is the
-// only sender on out, so it alone closes it.
-func (s *Subscription) pump() {
-	defer close(s.pumpDone)
+// feedChunk bounds how many ids feed holds between ring and channel.
+const feedChunk = 1024
+
+// feed is C's goroutine: Next's batches, sent into the delivery channel id
+// by id. After Cancel it keeps going for as long as the channel has room
+// (Next hands a channel consumer the ring's remainder, offers having
+// stopped) and then moves what cannot be handed over from delivered to
+// dropped. It is the only sender on out, so it alone closes it.
+func (s *Subscription) feed() {
+	defer close(s.fed)
 	defer close(s.out)
-	buf := make([]uint64, 0, len(s.ring))
+	buf := make([]uint64, min(len(s.ring), feedChunk))
 	for {
-		buf = s.take(buf[:0])
-		if len(buf) == 0 {
-			select {
-			case <-s.wake:
-				continue
-			case <-s.done:
-				s.flush(s.take(buf[:0]))
-				return
-			}
+		ids, ok := s.Next(buf)
+		if !ok {
+			return
 		}
-		for i, id := range buf {
+		for i, id := range ids {
 			select {
 			case s.out <- id:
-				s.delivered.Add(1)
+				continue
+			default:
+			}
+			select {
+			case s.out <- id:
 			case <-s.done:
-				// Deliver what still fits — first the rest of this chunk,
-				// then whatever remains in the ring — and drop the rest.
-				if s.flush(buf[i:]) {
-					s.flush(s.take(buf[:0]))
-				} else {
-					s.dropped.Add(uint64(len(s.take(buf[:0]))))
-				}
+				// Cancelled with the channel full: the rest of this batch
+				// and of the ring can never be handed over.
+				lost := uint64(len(ids) - i)
+				s.delivered.Add(-lost)
+				s.dropped.Add(lost)
+				s.mu.Lock()
+				s.discard()
+				s.mu.Unlock()
 				return
 			}
 		}
 	}
-}
-
-// flush performs the post-cancellation hand-off: non-blocking sends into
-// the delivery channel's remaining buffer, counting what does not fit as
-// dropped. Reports whether everything fit.
-func (s *Subscription) flush(ids []uint64) bool {
-	for i, id := range ids {
-		select {
-		case s.out <- id:
-			s.delivered.Add(1)
-		default:
-			s.dropped.Add(uint64(len(ids) - i))
-			return false
-		}
-	}
-	return true
 }
 
 // stats snapshots the counters; the caller holds the hub lock. Depth spans
-// both buffering stages — the ring and the delivery channel — so a lagging
-// consumer's backlog is visible before drops begin.
+// every buffering stage there is — the ring and, for a channel consumer,
+// the delivery channel (len of a nil channel is 0) — so a lagging
+// consumer's backlog is visible before drops begin. offer and Next move
+// their counters under mu, so for a batch consumer every snapshot satisfies
+// Offered == Delivered + Dropped + Filtered + Capped + Depth.
 func (s *Subscription) stats() SubStats {
 	s.mu.Lock()
-	depth := s.size + len(s.out)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	return SubStats{
 		ID:        s.id,
 		Offered:   s.offered.Load(),
@@ -500,7 +545,7 @@ func (s *Subscription) stats() SubStats {
 		Filtered:  s.filtered.Load(),
 		Capped:    s.capped.Load(),
 		Capacity:  len(s.ring),
-		Depth:     depth,
+		Depth:     s.size + len(s.out),
 		Every:     int(s.every),
 		Rate:      uint32(s.rate),
 	}

@@ -1,6 +1,8 @@
 package subhub
 
 import (
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +63,7 @@ func TestDropOldest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.C() // a channel consumer: the feed goroutine runs from here on
 	ids := []uint64{10, 11, 12, 13, 14, 15, 16, 17}
 	h.Publish(ids)
 	// Wait until accounting settles: everything offered is either delivered
@@ -206,6 +209,7 @@ func TestCancelFlushesBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.C() // a channel consumer: Cancel flushes into the channel
 	ids := make([]uint64, 32)
 	for i := range ids {
 		ids[i] = uint64(i + 1)
@@ -417,6 +421,7 @@ func TestRateCapTokenBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.C() // a channel consumer: what the cap admits is drained below
 	var clock int64 = 5e9
 	s.mu.Lock()
 	s.now = func() int64 { return clock }
@@ -571,5 +576,262 @@ func TestInitialSeenPhase(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery for a phase seeded one short of the interval")
+	}
+}
+
+// seq returns n consecutive ids starting at from.
+func seq(from uint64, n int) []uint64 {
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = from + uint64(i)
+	}
+	return ids
+}
+
+// checkIdentity asserts the accounting identity of a cancelled subscription.
+func checkIdentity(t *testing.T, s *Subscription) {
+	t.Helper()
+	if sum := s.Delivered() + s.Dropped() + s.Filtered() + s.Capped(); sum != s.Offered() {
+		t.Fatalf("accounting leak: delivered %d + dropped %d + filtered %d + capped %d = %d, offered %d",
+			s.Delivered(), s.Dropped(), s.Filtered(), s.Capped(), sum, s.Offered())
+	}
+}
+
+// TestNextWrapAround drains a small ring in batches whose sizes are coprime
+// to its capacity, so the two copies in Next meet the wrap at every offset:
+// the consumer must see exactly the published sequence.
+func TestNextWrapAround(t *testing.T) {
+	h := New()
+	defer h.Close()
+	s, err := h.Subscribe(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]uint64, 5)
+	next := uint64(1) // next id to publish
+	want := uint64(1) // next id the consumer must see
+	for round := 0; round < 40; round++ {
+		n := 1 + round%7
+		h.Publish(seq(next, n))
+		next += uint64(n)
+		for want < next {
+			ids, ok := s.Next(buf)
+			if !ok || len(ids) == 0 || len(ids) > cap(buf) {
+				t.Fatalf("Next = (%v, %v) with ids %d..%d buffered", ids, ok, want, next-1)
+			}
+			for _, id := range ids {
+				if id != want {
+					t.Fatalf("round %d: got id %d, want %d", round, id, want)
+				}
+				want++
+			}
+		}
+	}
+	if st := h.Stats()[0]; st.Delivered != next-1 || st.Depth != 0 || st.Dropped != 0 {
+		t.Fatalf("stats after draining %d ids: %+v", next-1, st)
+	}
+	s.Cancel()
+	if ids, ok := s.Next(buf); ok || len(ids) != 0 {
+		t.Fatalf("Next after Cancel = (%v, %v)", ids, ok)
+	}
+	checkIdentity(t, s)
+}
+
+// TestNextDropOldestNoConsumer overfills a ring nobody drains: Next then
+// hands out the newest ids in order, the overwritten ones are dropped, and
+// what is still buffered when Cancel lands is dropped too.
+func TestNextDropOldestNoConsumer(t *testing.T) {
+	h := New()
+	defer h.Close()
+	s, err := h.Subscribe(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Publish(seq(1, 3))
+	h.Publish(seq(4, 7)) // 10 offered to a ring of 4
+	if st := h.Stats()[0]; st.Depth != 4 || st.Dropped != 6 || st.Delivered != 0 {
+		t.Fatalf("stats with no consumer: %+v", st)
+	}
+	ids, ok := s.Next(make([]uint64, 3))
+	if !ok || !slices.Equal(ids, []uint64{7, 8, 9}) {
+		t.Fatalf("Next = (%v, %v), want the oldest three survivors 7 8 9", ids, ok)
+	}
+	h.Publish(seq(11, 2))
+	s.Cancel() // 10, 11, 12 never taken
+	if s.Delivered() != 3 || s.Dropped() != 9 {
+		t.Fatalf("delivered %d dropped %d, want 3 and 9", s.Delivered(), s.Dropped())
+	}
+	checkIdentity(t, s)
+}
+
+// TestNextDecimationAndRateCap: the batch consumer sees what decimation and
+// the token bucket let through, in order, and all four ways an id can end
+// are in the ledger.
+func TestNextDecimationAndRateCap(t *testing.T) {
+	h := New()
+	defer h.Close()
+	s, err := h.SubscribeWith(SubOptions{Capacity: 64, Every: 5, RatePerSec: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clock int64 = 9e9
+	s.mu.Lock()
+	s.now = func() int64 { return clock }
+	s.lastRefill = clock
+	s.tokens = 4
+	s.mu.Unlock()
+	h.Publish(seq(1, 50)) // 10 survive the thinning, the bucket admits 4
+	buf := make([]uint64, 3)
+	ids, _ := s.Next(buf)
+	if !slices.Equal(ids, []uint64{5, 10, 15}) {
+		t.Fatalf("first batch %v, want 5 10 15", ids)
+	}
+	clock += 1e9
+	h.Publish(seq(51, 10)) // two more survive, both admitted
+	s.Cancel()             // 20, 55, 60 still buffered
+	if f, c, d, dr := s.Filtered(), s.Capped(), s.Delivered(), s.Dropped(); f != 48 || c != 6 || d != 3 || dr != 3 {
+		t.Fatalf("filtered %d capped %d delivered %d dropped %d, want 48 6 3 3", f, c, d, dr)
+	}
+	checkIdentity(t, s)
+}
+
+// TestNextBlocksUntilPublishOrCancel: an empty ring parks the consumer;
+// Publish wakes it with the ids, Cancel wakes it with false.
+func TestNextBlocksUntilPublishOrCancel(t *testing.T) {
+	h := New()
+	defer h.Close()
+	s, err := h.Subscribe(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		ids []uint64
+		ok  bool
+	}
+	results := make(chan result)
+	go func() {
+		buf := make([]uint64, 16)
+		for {
+			ids, ok := s.Next(buf)
+			results <- result{append([]uint64(nil), ids...), ok}
+			if !ok {
+				return
+			}
+		}
+	}()
+	select {
+	case r := <-results:
+		t.Fatalf("Next returned %+v from an empty ring", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	h.Publish([]uint64{42, 43})
+	if r := <-results; !r.ok || !slices.Equal(r.ids, []uint64{42, 43}) {
+		t.Fatalf("Next after Publish = %+v", r)
+	}
+	go s.Cancel()
+	if r := <-results; r.ok || len(r.ids) != 0 {
+		t.Fatalf("Next after Cancel = %+v", r)
+	}
+}
+
+// TestNextCancelRacesPublish cancels a subscription while publishers and a
+// batch consumer are running flat out. Afterwards the identity must hold
+// exactly, Delivered must be what the consumer was handed, and what it was
+// handed must be an increasing subsequence of each publisher's ids.
+func TestNextCancelRacesPublish(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		h := New()
+		s, err := h.Subscribe(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const publishers = 3
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for p := 0; p < publishers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				// Publisher p's ids are p<<32 | 1, 2, 3, ...
+				next := uint64(p)<<32 | 1
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					h.Publish(seq(next, 17))
+					next += 17
+				}
+			}(p)
+		}
+		var got uint64
+		consumed := make(chan struct{})
+		go func() {
+			defer close(consumed)
+			var last [publishers]uint64
+			buf := make([]uint64, 32)
+			for {
+				ids, ok := s.Next(buf)
+				if !ok {
+					return
+				}
+				got += uint64(len(ids))
+				for _, id := range ids {
+					if p := id >> 32; id <= last[p] {
+						t.Errorf("publisher %d: id %#x after %#x", p, id, last[p])
+					} else {
+						last[p] = id
+					}
+				}
+			}
+		}()
+		time.Sleep(time.Duration(round%5) * time.Millisecond)
+		s.Cancel()
+		offered := s.Offered() // final: a cancelled subscription takes no offers
+		checkIdentity(t, s)
+		<-consumed
+		close(stop)
+		wg.Wait()
+		if s.Offered() != offered {
+			t.Fatalf("offered moved after Cancel: %d then %d", offered, s.Offered())
+		}
+		if got != s.Delivered() {
+			t.Fatalf("consumer was handed %d ids, delivered %d", got, s.Delivered())
+		}
+		checkIdentity(t, s)
+		h.Close()
+	}
+}
+
+// BenchmarkSubscriptionNext is the consumer side of the hub, which the
+// publish-side probes never time: one 1024-id Publish, then every
+// subscription drained with Next into a reused buffer, per iteration.
+func BenchmarkSubscriptionNext(b *testing.B) {
+	for _, consumers := range []int{1, 2} {
+		b.Run("consumers="+strconv.Itoa(consumers), func(b *testing.B) {
+			h := New()
+			defer h.Close()
+			subs := make([]*Subscription, consumers)
+			for i := range subs {
+				var err error
+				if subs[i], err = h.Subscribe(4096); err != nil {
+					b.Fatal(err)
+				}
+			}
+			batch := seq(1, 1024)
+			buf := make([]uint64, 1024)
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(batch) * consumers))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Publish(batch)
+				for _, s := range subs {
+					if ids, _ := s.Next(buf); len(ids) != len(batch) {
+						b.Fatalf("Next handed out %d ids, want %d", len(ids), len(batch))
+					}
+				}
+			}
+		})
 	}
 }

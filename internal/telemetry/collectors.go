@@ -72,6 +72,7 @@ func PoolCollector(p *shard.Pool) Collector {
 			{Name: "unsd_subscriber_delivered_ids_total", Help: "Sigma-prime draws delivered to this subscription.", Type: Counter},
 			{Name: "unsd_subscriber_dropped_ids_total", Help: "Sigma-prime draws dropped on this subscription's full buffer.", Type: Counter},
 			{Name: "unsd_subscriber_filtered_ids_total", Help: "Sigma-prime draws skipped by this subscription's decimation.", Type: Counter},
+			{Name: "unsd_subscriber_capped_ids_total", Help: "Sigma-prime draws discarded by this subscription's delivery rate cap.", Type: Counter},
 			{Name: "unsd_subscriber_queue_depth_ids", Help: "Draws buffered for this subscription.", Type: Gauge},
 			{Name: "unsd_subscriber_queue_capacity_ids", Help: "Buffer capacity of this subscription.", Type: Gauge},
 		}
@@ -79,7 +80,7 @@ func PoolCollector(p *shard.Pool) Collector {
 			lbl := []Label{{Name: "subscriber", Value: strconv.FormatUint(s.ID, 10)}}
 			vals := []float64{
 				float64(s.Offered), float64(s.Delivered), float64(s.Dropped),
-				float64(s.Filtered), float64(s.Depth), float64(s.Capacity),
+				float64(s.Filtered), float64(s.Capped), float64(s.Depth), float64(s.Capacity),
 			}
 			for j := range subFams {
 				subFams[j].Samples = append(subFams[j].Samples, Sample{Labels: lbl, Value: vals[j]})
