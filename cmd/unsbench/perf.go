@@ -65,6 +65,9 @@ var perfSuite = []struct {
 	{"ControllerTick", "ns/op", perfControllerTick},
 	{"SketchAddEstimate/fused", "ns/op", func(b *testing.B) { perfSketchAdd(b, false) }},
 	{"SketchAddEstimate/reference", "ns/op", func(b *testing.B) { perfSketchAdd(b, true) }},
+	{"SketchAddEstimate/k50s10", "ns/op", func(b *testing.B) { perfDaemonPoint(b, "sketch") }},
+	{"KnowledgeFreeProcessBatch/c25k50s10", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "sampler") }},
+	{"UniformityProbeOffer", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "probe") }},
 	{"Partition/pooled", "ns/id", func(b *testing.B) { perfPartition(b, true) }},
 	{"Partition/alloc", "ns/id", func(b *testing.B) { perfPartition(b, false) }},
 	{"ShardQueue/ring", "ns/op", func(b *testing.B) { perfQueue(b, true) }},
@@ -94,6 +97,45 @@ func perfSketchAdd(b *testing.B, reference bool) {
 		}
 	}
 	perfSink += s
+}
+
+// perfDaemonPoint measures one layer of the per-id step at the daemon's
+// operating point — unsd's default -c 25 -k 50 -s 10 and 4096-id uniformity
+// window decimated 1-in-8, fed 1024-id batches uniform over 100 000 ids, as
+// benchmark/'s ingest_saturate feeds them — so this artifact and the
+// socket-to-socket benchmark price the same step.
+func perfDaemonPoint(b *testing.B, layer string) {
+	sk, err := cms.NewWithDimensions(50, 10, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	kf, err := core.NewKnowledgeFree(25, 50, 10, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	probe := telemetry.NewProbe(4096, 8)
+	r := rng.New(13)
+	batches := make([][]uint64, 64)
+	for i := range batches {
+		batches[i] = make([]uint64, 1024)
+		for j := range batches[i] {
+			batches[i][j] = r.Uint64n(100000)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 1024 {
+		ids := batches[(i>>10)&63]
+		switch layer {
+		case "sketch":
+			for _, id := range ids {
+				perfSink += sk.AddEstimate(id)
+			}
+		case "sampler": // sketch + Γ membership + admission, as a shard worker runs it
+			kf.ProcessBatch(ids)
+		case "probe": // the gauge's input window, on the connection goroutine
+			probe.Offer(ids)
+		}
+	}
 }
 
 // perfPartition measures the PushBatch counting-sort partition pass — b.N

@@ -190,42 +190,42 @@
 //
 // # Hot path anatomy
 //
-// Batch ingest is engineered to a nanosecond budget; the numbers below are
-// from the single-CPU reference container (BENCH_10.json, ns per id,
-// single-shard PushBatch ≈ 52 ns/id, 0 allocs/op steady state):
+// What an ingested id costs, measured at the daemon's operating point (unsd
+// -c 25 -k 50 -s 10 -shards 4 -block, 1024-id frames uniform over 100 000
+// ids: the ingest_saturate workload of benchmark/, one CPU saturated, CPU
+// profile of that daemon). In-process rows are BENCH_13.json, end-to-end
+// ones are in CHANGES.md (PR 13): 77 ns of daemon CPU per id, 12.9 M ids/s.
 //
-//   - Partition (~1–2 ns): a counting-sort pass groups the batch by
-//     destination shard — two linear sweeps, no comparisons — into a pooled
-//     payload buffer; the scratch tables come from a sync.Pool, so a
-//     steady-state batch allocates nothing.
-//   - Queue hand-off (~0 ns amortised): each shard's sub-batch is one
-//     enqueue on a bounded MPSC ring (a Vyukov queue: one CAS per producer,
-//     plain loads and stores for the single consumer), amortised over the
-//     whole sub-batch. The payload is reference-counted and returned to its
-//     pool by the last shard worker to finish with it.
-//   - Sketch update (~37 ns): the dominant term. One fused Columns pass
-//     premixes the id once and computes all s row columns — a Carter-Wegman
-//     multiply mod 2⁶¹−1 plus a Lemire fastrange reduction per row — then
-//     the add loop increments one counter per row of the flat row-major
-//     matrix (~24 ns hashing, ~7 ns counter loop, ~6 ns amortised global-
-//     minimum rescan, which the admission probability minσ/f̂ consults per
-//     id and so must stay eagerly maintained).
-//   - Admission (~14 ns): the Algorithm 3 step — a Γ membership scan
-//     (~5 ns at c=10) and one PRNG draw for the Bernoulli admit/evict
-//     decision (~8 ns).
+//   - Frame read and decode (~6 ns, 4 of them the read syscall): FrameReader
+//     reads ahead through an 8 KiB buffer and decodes into buffers it keeps
+//     (header included), so a steady stream allocates nothing per frame.
+//   - Uniformity probe (~3 ns; UniformityProbeOffer 2.4): the gauge's input
+//     window keeps 1 id in 8 — a hashed gate, a mask and a ring store under
+//     one lock per batch; the histogram is built at scrape time.
+//   - Cluster partition (fleet members only, ~7 ns): owners counted in one
+//     pass and ids placed in a second, into one allocation per batch.
+//   - Shard partition and hand-off (~4 ns): a counting sort into a pooled,
+//     reference-counted payload, then one enqueue per shard on a bounded
+//     MPSC ring (one CAS per producer), amortised over the sub-batch.
+//   - Sketch update (~43 ns; SketchAddEstimate/k50s10 37.0): the dominant
+//     term. One fused Columns pass premixes the id once, then per row folds
+//     the 128-bit a·u+b mod 2⁶¹−1 once and maps it to a column by Lemire's
+//     fastrange (~29 ns for s = 10 rows); the add loop increments one counter
+//     per row of the flat matrix (~10 ns) and the global minimum, which the
+//     admission probability minσ/f̂ consults per id, is rescanned when its
+//     last counter moves (~4 ns amortised).
+//   - Admission (~15 ns): the Γ membership scan (~6 ns at c = 25), the
+//     Bernoulli draw and, on a uniform stream, an eviction for most ids.
 //
-// What is left is arithmetic the algorithm requires per id, not overhead:
-// s modular multiplications and one random draw. One further fusion was
-// measured and rejected — sharing a single splitmix64 premix between the
-// partition map and the sketch hashes saves under 2 ns but the two
-// deliberately mix different inputs (the partition premixes id⊕salt so the
-// shard map stays unpredictable; the sketch premixes the raw id so blobs
-// restore bit-identically), so the saving would cost a partition-map
-// re-version that invalidates every restored snapshot's routing.
+// Measured and rejected, all bit-identical and none a gain here: a fused
+// hash-and-increment loop and a two-pass branch-free minimum rescan (both
+// slower), a counting signature in front of the Γ scan (its upkeep on every
+// eviction costs what it saves), and one premix shared by the shard map and
+// the sketch (under 2 ns, and it re-versions every snapshot's routing).
 //
-// The committed BENCH_<pr>.json artifacts pin this budget over time, and
+// The committed BENCH_<pr>.json artifacts pin this budget over time;
 // `unsbench -perf-compare old.json new.json` turns any two of them into a
-// pass/fail regression verdict (CI gates on the previous PR's artifact).
+// pass/fail regression verdict (CI gates on the previous artifact).
 //
 // # Securing the service edge
 //

@@ -265,8 +265,7 @@ func (c *Cluster) SlotOf(id uint64) int {
 
 // OwnerOf returns the member index owning id under the current table.
 func (c *Cluster) OwnerOf(id uint64) int {
-	t := c.table.Load()
-	return int(t.owner[shard.PlacementSlot(rng.Mix64(id^c.salt))])
+	return int(c.table.Load().owner[c.SlotOf(id)])
 }
 
 // SlotOwner returns the member index owning one slot.
@@ -316,20 +315,27 @@ func (c *Cluster) ApplyPlacement(epoch uint64, from, to, owner int) bool {
 }
 
 // Partition splits a batch by owner under the current table: ids this
-// member owns come back in local, the rest grouped per owner member. Both
-// return freshly allocated slices the caller owns (the forward path hands
-// its slices to Forward, which keeps them).
+// member owns come back in local, the rest grouped per owner member. The
+// caller owns the returned slices (the forward path hands its slices to
+// Forward, which keeps them): cuts of one fresh len(ids) allocation, each
+// capped at its group's count, so nothing grows while the ids are placed
+// and a later append never reaches into the neighbouring group.
 func (c *Cluster) Partition(ids []uint64) (local []uint64, remote [][]uint64) {
 	t := c.table.Load()
-	remote = make([][]uint64, len(c.members))
+	var count [MaxMembers]int
 	for _, id := range ids {
-		o := int(t.owner[shard.PlacementSlot(rng.Mix64(id^c.salt))])
-		if o == c.self {
-			local = append(local, id)
-			continue
-		}
+		count[t.owner[c.SlotOf(id)]]++
+	}
+	buf := make([]uint64, len(ids))
+	remote = make([][]uint64, len(c.members))
+	for o := range remote {
+		remote[o], buf = buf[:0:count[o]], buf[count[o]:]
+	}
+	for _, id := range ids {
+		o := t.owner[c.SlotOf(id)]
 		remote[o] = append(remote[o], id)
 	}
+	local, remote[c.self] = remote[c.self], nil
 	return local, remote
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"nodesampling/internal/netgossip"
@@ -166,6 +167,57 @@ func TestPartitionUnion(t *testing.T) {
 	}
 	if seen != len(ids) {
 		t.Fatalf("partition covered %d of %d ids", seen, len(ids))
+	}
+}
+
+// TestPartitionGroups pins what the one-allocation partition must keep of
+// the append-from-nil one it replaced: every group holds its owner's ids in
+// arrival order, and every group is capped at its own length, so a caller
+// (or Forward, which keeps the slice) appending to one group cannot write
+// into the next.
+func TestPartitionGroups(t *testing.T) {
+	c := testCluster(t, []string{"m0:1", "m1:1", "m2:1"}, "m1:1", nil)
+	ids := make([]uint64, 1024)
+	for i := range ids {
+		ids[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	want := make([][]uint64, 3)
+	for _, id := range ids {
+		want[c.OwnerOf(id)] = append(want[c.OwnerOf(id)], id)
+	}
+	local, remote := c.Partition(ids)
+	got := append([][]uint64(nil), remote...)
+	got[c.SelfIndex()] = local
+	for o := range want {
+		if !reflect.DeepEqual(got[o], want[o]) {
+			t.Fatalf("member %d: group differs from the ids it owns in arrival order", o)
+		}
+		if cap(got[o]) != len(got[o]) {
+			t.Fatalf("member %d: group of %d ids has capacity %d", o, len(got[o]), cap(got[o]))
+		}
+	}
+	if l, r := c.Partition(nil); len(l) != 0 || len(r) != 3 {
+		t.Fatalf("empty batch: local %d ids, %d remote groups", len(l), len(r))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Partition(ids) }); allocs > 2 {
+		t.Fatalf("%v allocations per batch, want the id buffer and the group table", allocs)
+	}
+}
+
+func BenchmarkPartition(b *testing.B) {
+	c, err := New(Config{Members: []string{"m0:1", "m1:1", "m2:1"}, Self: "m0:1", Seed: 7, Fallback: func([]uint64) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ids := make([]uint64, 1024)
+	for i := range ids {
+		ids[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(ids) {
+		c.Partition(ids)
 	}
 }
 

@@ -1,13 +1,14 @@
 package cms
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
-
+	"fmt"
 	"math"
-	"nodesampling/internal/hashing"
 	"testing"
 	"testing/quick"
 
+	"nodesampling/internal/hashing"
 	"nodesampling/internal/rng"
 )
 
@@ -582,5 +583,39 @@ func BenchmarkSketchAddEstimate(b *testing.B) {
 				tc.add(sk, uint64(i)&1023)
 			}
 		})
+	}
+}
+
+// TestSketchBytesGolden pins the column maps across hash-kernel rewrites:
+// a sketch drawn from a fixed seed and fed a fixed id sequence must marshal
+// to the bytes it marshalled to before Family.Columns went from two Mersenne
+// reductions per row to one (checksums taken at that parent commit). A kernel
+// that moved any id to another column would pass no restored snapshot's
+// estimates on unchanged, and this is where it would show.
+func TestSketchBytesGolden(t *testing.T) {
+	golden := map[hashing.Mode]string{
+		hashing.ModeFastrange: "b842ee67385fced575f9cb85ab23434fa94d1e3e5065c29765350e946ccf5fcd",
+		hashing.ModeModulo:    "9aed65766f412f1e1f2c47c4ac07e830aa0a269c41fc0e4edaa3832e8ceece58",
+	}
+	for mode, want := range golden {
+		sk, err := NewWithDimensionsMode(50, 10, rng.New(7), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(13)
+		for i := 0; i < 100000; i++ {
+			id := r.Uint64()
+			if i%2 == 0 {
+				id %= 100000 // half the stream small dense ids, half full-width
+			}
+			sk.AddEstimate(id)
+		}
+		data, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("mode %v: sketch bytes hash to %s, want %s", mode, got, want)
+		}
 	}
 }

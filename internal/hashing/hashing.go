@@ -286,24 +286,41 @@ func (f *Family) Hash(i int, x uint64) int { return f.fns[i].Hash(x) }
 // Columns computes the bucket of x under every function in one fused pass,
 // writing member i's bucket to cols[i]; cols must have length ≥ Size. The
 // splitmix64 premix and its Mersenne reduction are row-invariant, so they
-// run once per key instead of once per row, and the per-row tail is a
-// single mul-mod, add-mod and bucket map. Bit-identical to calling Hash per
-// row (the property the fused-vs-reference test pins).
+// run once per key instead of once per row, and the per-row tail is one
+// 128-bit multiply-add, one reduction and the bucket map. Bit-identical to
+// calling Hash per row (the property the fused-vs-reference test pins).
 func (f *Family) Columns(x uint64, cols []int) {
 	u := reduceModMersenne(rng.Mix64(x))
 	if f.mode == ModeFastrange {
 		for i := range f.fns {
 			h := &f.fns[i]
-			v := addModMersenne(mulModMersenne(h.a, u), h.b)
-			hi, _ := bits.Mul64(v<<3, h.k)
+			hi, _ := bits.Mul64(linearModMersenne(h.a, u, h.b)<<3, h.k)
 			cols[i] = int(hi)
 		}
 		return
 	}
 	for i := range f.fns {
 		h := &f.fns[i]
-		cols[i] = int(addModMersenne(mulModMersenne(h.a, u), h.b) % h.k)
+		cols[i] = int(linearModMersenne(h.a, u, h.b) % h.k)
 	}
+}
+
+// linearModMersenne returns (a·u + b) mod p, p = 2^61 − 1, for a, u, b < p with
+// a single reduction of the 128-bit a·u + b, where Hash's mulModMersenne
+// then addModMersenne reduce fully twice; both yield the canonical residue
+// in [0, p), so the two agree on every input. a·u + b ≤ p·(p−1) < 2^122, so
+// the part above bit 61 is below 2^61 and the folded sum below 2^62: one
+// more fold leaves at most p, and one conditional subtract finishes.
+func linearModMersenne(a, u, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, u)
+	lo, carry := bits.Add64(lo, b, 0)
+	hi += carry
+	sum := (lo & MersennePrime) + (hi<<3 | lo>>61)
+	sum = (sum & MersennePrime) + (sum >> 61)
+	if sum >= MersennePrime {
+		sum -= MersennePrime
+	}
+	return sum
 }
 
 // MinWise is a random "permutation" over the 61-bit id universe used by the

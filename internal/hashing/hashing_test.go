@@ -407,3 +407,86 @@ func BenchmarkFamilyColumns(b *testing.B) {
 		})
 	}
 }
+
+// unmix64 inverts rng.Mix64 (every step of the splitmix64 finalizer is a
+// bijection), so a test can choose the premixed value a key reduces to.
+func unmix64(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642b2d24d8ec3 // inverse of 0x94d049bb133111eb mod 2^64
+	x ^= x>>27 ^ x>>54
+	x *= 0x96de1b173f119089 // inverse of 0xbf58476d1ce4e5b9 mod 2^64
+	return x ^ x>>30 ^ x>>60
+}
+
+// TestLinearModMersenneBoundaries pins the single-reduction row kernel
+// against math/big and against the reference's two full reductions on the
+// vectors where a fold or the final subtract can go wrong: the extreme
+// operands, a 128-bit sum whose low word carries, and sums whose first fold
+// lands exactly on p, on 2^61 and on the largest value a fold can produce.
+func TestLinearModMersenneBoundaries(t *testing.T) {
+	const p = MersennePrime
+	cases := []struct{ a, u, b uint64 }{
+		{1, 0, 0}, {1, 0, p - 1}, {p - 1, 0, p - 1},
+		{1, 1, 0}, {p - 1, 1, 0}, {p - 1, 1, p - 1},
+		{1, p - 1, 0}, {p - 1, p - 1, 0}, {p - 1, p - 1, p - 1}, // the largest a·u+b
+		{p - 1, 1, 1},         // a·u+b = p: folds to exactly p
+		{p - 1, 1, 2},         // a·u+b = 2^61
+		{2, p - 1, 3},         // a·u+b = 2p+1: first fold is exactly 2^61
+		{8, p - 1, 15},        // a·u+b = 2^64−1: low word all ones
+		{8, p - 1, 16},        // a·u+b = 2^64: the add carries into the high word
+		{1 << 60, 1 << 60, 0}, // a·u = 2^120: low word zero
+	}
+	r := rng.New(123)
+	for i := 0; i < 20000; i++ {
+		cases = append(cases, struct{ a, u, b uint64 }{1 + r.Uint64n(p-1), r.Uint64n(p), r.Uint64n(p)})
+	}
+	bp := new(big.Int).SetUint64(p)
+	for _, c := range cases {
+		want := new(big.Int).Mul(new(big.Int).SetUint64(c.a), new(big.Int).SetUint64(c.u))
+		want.Add(want, new(big.Int).SetUint64(c.b)).Mod(want, bp)
+		if got := linearModMersenne(c.a, c.u, c.b); got != want.Uint64() {
+			t.Errorf("linearModMersenne(%d, %d, %d) = %d, want %d", c.a, c.u, c.b, got, want.Uint64())
+		}
+		if ref := addModMersenne(mulModMersenne(c.a, c.u), c.b); ref != want.Uint64() {
+			t.Errorf("reference (%d·%d + %d) mod p = %d, want %d", c.a, c.u, c.b, ref, want.Uint64())
+		}
+	}
+}
+
+// TestColumnsMatchesHashAtBoundaries drives the same boundary through the
+// public surface: families rebuilt from extreme (a, b) parameters, keys
+// chosen (by inverting the premix) to reduce to u ∈ {0, 1, 2, p−1}, both
+// bucket maps — Columns must name the bucket Universal2.Hash names.
+func TestColumnsMatchesHashAtBoundaries(t *testing.T) {
+	const p = MersennePrime
+	params := [][2]uint64{{1, 0}, {1, p - 1}, {p - 1, 0}, {p - 1, 1}, {p - 1, 2}, {p - 1, p - 1}, {2, 3}, {8, 15}, {8, 16}}
+	var keys []uint64
+	for _, u := range []uint64{0, 1, 2, p - 1} {
+		// p ≡ 0 (mod p), so u, u+p, … all reduce to u; cover every wrap of
+		// the 64-bit premix over the 61-bit modulus that fits.
+		for m := u; m >= u && m-u <= 7*p; m += p {
+			if reduceModMersenne(rng.Mix64(unmix64(m))) != u {
+				t.Fatalf("unmix64(%#x) does not reduce to %d", m, u)
+			}
+			keys = append(keys, unmix64(m))
+		}
+	}
+	for _, mode := range []Mode{ModeModulo, ModeFastrange} {
+		for _, k := range []int{1, 2, 50, 1000, 1 << 31} {
+			f, err := NewFamilyFromParamsMode(params, k, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := make([]int, f.Size())
+			for _, x := range keys {
+				f.Columns(x, cols)
+				for row := range cols {
+					if want := f.Hash(row, x); cols[row] != want {
+						t.Fatalf("mode %v k=%d params %v key %#x: Columns %d != Hash %d",
+							mode, k, params[row], x, cols[row], want)
+					}
+				}
+			}
+		}
+	}
+}

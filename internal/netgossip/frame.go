@@ -285,6 +285,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // ReadFrame.
 type FrameReader struct {
 	r       io.Reader
+	hdr     [frameHeaderLen]byte // a local would escape through io.ReadFull: one allocation per frame
 	payload []byte
 	ids     []uint64
 }
@@ -306,9 +307,8 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // the returned Frame's IDs alias the reader's internal buffer and are
 // overwritten by the next Read.
 func (fr *FrameReader) Read() (Frame, error) {
-	r := fr.r
-	var h [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+	r, h := fr.r, fr.hdr[:]
+	if _, err := io.ReadFull(r, h); err != nil {
 		return Frame{}, err
 	}
 	if h[0] != frameMagic {

@@ -524,3 +524,60 @@ func TestFrameReaderReadBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// cycleReader serves the same bytes over and over: an endless frame stream.
+type cycleReader struct {
+	wire []byte
+	off  int
+}
+
+func (c *cycleReader) Read(p []byte) (int, error) {
+	n := copy(p, c.wire[c.off:])
+	if c.off += n; c.off == len(c.wire) {
+		c.off = 0
+	}
+	return n, nil
+}
+
+// TestFrameReaderAllocatesNothingPerFrame pins the steady state of a read
+// loop over small frames (a gossip node's 16-id pushes and its pings): once
+// the reader's buffers have grown, a frame costs no allocation — the header
+// included, which as a local escaped through io.ReadFull once per frame.
+// The one-shot ReadFrame still decodes into fresh buffers.
+func TestFrameReaderAllocatesNothingPerFrame(t *testing.T) {
+	ids := make([]uint64, 16)
+	for i := range ids {
+		ids[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	wire, err := AppendFrame(nil, Frame{Type: FramePushBatch, IDs: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire, err = AppendFrame(wire, Frame{Type: FramePing, Token: 7}); err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(&cycleReader{wire: wire})
+	read := func() {
+		for _, want := range []FrameType{FramePushBatch, FramePing} {
+			if f, err := fr.Read(); err != nil || f.Type != want {
+				t.Fatalf("read type %d, err %v; want type %d", f.Type, err, want)
+			}
+		}
+	}
+	read() // grow the payload and id buffers
+	if allocs := testing.AllocsPerRun(1000, read); allocs != 0 {
+		t.Fatalf("%v allocations per push+ping pair, want 0", allocs)
+	}
+
+	a, err := ReadFrame(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadFrame(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.IDs[0] == &b.IDs[0] {
+		t.Fatal("ReadFrame handed out the same id buffer twice")
+	}
+}

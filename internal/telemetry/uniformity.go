@@ -8,32 +8,28 @@ import (
 	"nodesampling/internal/rng"
 )
 
-// Probe is a bounded sliding-window histogram over a stream of ids: a ring
-// buffer of the most recent window ids plus an incremental count map, with
-// optional decimation so a high-rate stream costs one mutex acquisition per
-// batch rather than unbounded state. It is the memory behind the live
-// uniformity gauge: old draws age out, so the exported divergence tracks
-// what the stream looks like now, not since boot — an attack that stops
-// shows up as recovery, exactly what an alert needs.
+// Probe is a bounded sliding window over a stream of ids: a ring buffer of
+// the most recent window ids, with optional decimation. It is the memory
+// behind the live uniformity gauge: old draws age out, so the exported
+// divergence tracks what the stream looks like now, not since boot — an
+// attack that stops shows up as recovery, exactly what an alert needs.
 //
-// Offer is safe for concurrent use but is expected to be called off the
-// per-id hot path (once per ingest batch, or at scrape time for output
-// draws).
+// Offer is safe for concurrent use and runs on the ingest path (the daemon
+// offers every ingested batch), so it only counts and stores — one mutex
+// acquisition per batch, one ring store per kept id; the histogram over the
+// window is built by Snapshot, once per scrape.
 type Probe struct {
-	mu     sync.Mutex
-	ring   []uint64
-	head   int
-	size   int
-	counts map[uint64]uint64
-	every  uint64 // keep 1 of every `every` offered ids (>=1)
-	seen   uint64 // offered ids since boot, pre-decimation
-	kept   uint64 // ids admitted to the window since boot
+	mu    sync.Mutex
+	ring  []uint64
+	every uint64 // keep 1 of every `every` offered ids (>=1)
+	seen  uint64 // offered ids since boot, pre-decimation
+	kept  uint64 // ids admitted to the window since boot
 }
 
 // NewProbe returns a probe holding the last `window` admitted ids, keeping
 // one of every `every` offered ids (every < 1 is treated as 1, i.e. no
-// decimation). A zero window disables the probe: Offer becomes a no-op and
-// the histogram stays empty.
+// decimation). A zero window disables the probe: Offer only counts and the
+// histogram stays empty.
 func NewProbe(window, every int) *Probe {
 	if every < 1 {
 		every = 1
@@ -41,7 +37,6 @@ func NewProbe(window, every int) *Probe {
 	p := &Probe{every: uint64(every)}
 	if window > 0 {
 		p.ring = make([]uint64, window)
-		p.counts = make(map[uint64]uint64, window)
 	}
 	return p
 }
@@ -58,31 +53,28 @@ func (p *Probe) Offer(ids []uint64) {
 		p.seen += uint64(len(ids))
 		return
 	}
+	// The 1-in-every gate hashes the offer counter instead of striding it:
+	// a plain `seen % every` would alias with periodic input (an id cycle
+	// sharing a factor with `every` collapses the window onto a subset of
+	// ids and fakes divergence). Mixing keeps the gate deterministic and
+	// O(1) but aperiodic. A power-of-two interval (the daemon's 8, and 1,
+	// which keeps everything) is a mask, not a division.
+	every, mask := p.every, p.every-1
+	pow2 := every&mask == 0
+	ring, seen, kept := p.ring, p.seen, p.kept
+	head := int(kept % uint64(len(ring))) // the slot the next kept id overwrites
 	for _, id := range ids {
-		p.seen++
-		// The 1-in-every gate hashes the offer counter instead of striding
-		// it: a plain `seen % every` would alias with periodic input (an id
-		// cycle sharing a factor with `every` collapses the window onto a
-		// subset of ids and fakes divergence). Mixing keeps the gate
-		// deterministic and O(1) but aperiodic.
-		if p.every > 1 && rng.Mix64(p.seen)%p.every != 0 {
+		seen++
+		if h := rng.Mix64(seen); pow2 && h&mask != 0 || !pow2 && h%every != 0 {
 			continue
 		}
-		p.kept++
-		if p.size == len(p.ring) {
-			old := p.ring[p.head]
-			if c := p.counts[old]; c <= 1 {
-				delete(p.counts, old)
-			} else {
-				p.counts[old] = c - 1
-			}
-		} else {
-			p.size++
+		ring[head] = id
+		if head++; head == len(ring) {
+			head = 0
 		}
-		p.ring[p.head] = id
-		p.head = (p.head + 1) % len(p.ring)
-		p.counts[id]++
+		kept++
 	}
+	p.seen, p.kept = seen, kept
 }
 
 // Snapshot returns the window contents as a metrics.Histogram plus the
@@ -91,8 +83,9 @@ func (p *Probe) Snapshot() (h *metrics.Histogram, seen, kept uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	h = metrics.NewHistogram()
-	for id, c := range p.counts {
-		h.AddN(id, c)
+	// Until the ring has wrapped, only its first `kept` slots hold ids.
+	for _, id := range p.ring[:min(p.kept, uint64(len(p.ring)))] {
+		h.Add(id)
 	}
 	return h, p.seen, p.kept
 }

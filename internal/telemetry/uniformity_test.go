@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"nodesampling/internal/rng"
 )
 
 func collectGauge(t *testing.T, u *Uniformity, name string) (float64, bool) {
@@ -89,6 +92,113 @@ func TestProbeDisabled(t *testing.T) {
 	}
 	if seen != 3 {
 		t.Fatalf("disabled probe lost the offered count: seen=%d", seen)
+	}
+}
+
+// TestProbeWindowIsLastKeptIDs holds the ring against a model kept beside
+// it: whatever the decimation (none, the daemon's power-of-two 8, a
+// non-power-of-two 3), however the stream is cut into batches, and however
+// often the ring has wrapped, the snapshot histogram is exactly the multiset
+// of the last `window` ids the 1-in-every gate let through.
+func TestProbeWindowIsLastKeptIDs(t *testing.T) {
+	const window = 64
+	for _, every := range []int{1, 3, 8} {
+		p := NewProbe(window, every)
+		r := rng.New(uint64(every))
+		var model []uint64 // every kept id, in order
+		var seen uint64
+		for batch := 0; batch < 400; batch++ { // ~10 000 ids: 20 to 160 wraps
+			ids := make([]uint64, r.Intn(50)) // empty batches included
+			for i := range ids {
+				ids[i] = r.Uint64n(40)
+				seen++
+				if rng.Mix64(seen)%uint64(every) == 0 {
+					model = append(model, ids[i])
+				}
+			}
+			p.Offer(ids)
+			if batch%7 != 0 && batch != 399 {
+				continue
+			}
+			h, gotSeen, gotKept := p.Snapshot()
+			if gotSeen != seen || gotKept != uint64(len(model)) {
+				t.Fatalf("every=%d batch %d: seen/kept %d/%d, want %d/%d", every, batch, gotSeen, gotKept, seen, len(model))
+			}
+			last := model[max(0, len(model)-window):]
+			want := map[uint64]uint64{}
+			for _, id := range last {
+				want[id]++
+			}
+			if h.Total() != uint64(len(last)) || h.Distinct() != len(want) {
+				t.Fatalf("every=%d batch %d: window holds %d ids (%d distinct), want %d (%d)",
+					every, batch, h.Total(), h.Distinct(), len(last), len(want))
+			}
+			for id, n := range want {
+				if h.Count(id) != n {
+					t.Fatalf("every=%d batch %d: id %d counted %d times, want %d", every, batch, id, h.Count(id), n)
+				}
+			}
+		}
+		if len(model) < 20*window {
+			t.Fatalf("every=%d: only %d kept ids, the ring barely wrapped", every, len(model))
+		}
+	}
+}
+
+// TestProbeOfferAllocatesNothing: Offer runs on the connection goroutine for
+// every ingested batch; it may count and store, never allocate.
+func TestProbeOfferAllocatesNothing(t *testing.T) {
+	ids := make([]uint64, 1024)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	for _, p := range []*Probe{NewProbe(4096, 8), NewProbe(256, 1), NewProbe(0, 8)} {
+		if allocs := testing.AllocsPerRun(100, func() { p.Offer(ids) }); allocs != 0 {
+			t.Errorf("window %d: Offer allocated %v times per batch", p.Window(), allocs)
+		}
+	}
+}
+
+// TestProbeOfferRacesSnapshot: ingest goroutines offer while a scraper
+// snapshots. Every snapshot must be a consistent cut — a window no larger
+// than the ring, counters that only grow — and the race detector must stay
+// quiet.
+func TestProbeOfferRacesSnapshot(t *testing.T) {
+	const window, writers, batches = 128, 4, 200
+	p := NewProbe(window, 8)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ids := make([]uint64, 100)
+			for b := 0; b < batches; b++ {
+				for i := range ids {
+					ids[i] = uint64(w*1000 + i)
+				}
+				p.Offer(ids)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var lastSeen, lastKept uint64
+		for i := 0; i < 200; i++ {
+			h, seen, kept := p.Snapshot()
+			if seen < lastSeen || kept < lastKept || kept > seen {
+				t.Errorf("counters went seen %d→%d, kept %d→%d", lastSeen, seen, lastKept, kept)
+			}
+			if h.Total() != min(kept, window) {
+				t.Errorf("window holds %d ids after %d kept", h.Total(), kept)
+			}
+			lastSeen, lastKept = seen, kept
+		}
+	}()
+	wg.Wait()
+	<-done
+	if _, seen, _ := p.Snapshot(); seen != writers*batches*100 {
+		t.Fatalf("seen %d of %d offered ids", seen, writers*batches*100)
 	}
 }
 
