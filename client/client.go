@@ -10,7 +10,8 @@
 //
 // Clients dialled with DialOptions.Reconnect survive daemon restarts: when
 // the connection drops, the client redials with exponential backoff and
-// jitter, re-issues its Subscribe (same capacity and decimation interval)
+// jitter, re-issues its Subscribe (same capacity, decimation interval and
+// rate cap, plus the resume token the daemon acknowledged the old one with)
 // on the fresh connection, and keeps the subscription channel open
 // throughout — the consumer only observes a gap in the stream. Paired with
 // the daemon's -snapshot-path restore, a restart costs neither the
@@ -151,10 +152,10 @@ type Client struct {
 	subCap   int                      // saved Subscribe arguments for re-subscription
 	subEvery int
 	subRate  uint32 // saved delivery rate cap (ids/second; 0 uncapped)
-	// resumeToken is the daemon's SubAck token for the live subscription;
-	// a re-subscription presents it so the server resumes the decimation
-	// phase where the old session left off instead of restarting the
-	// 1-in-every window.
+	// resumeToken is the daemon's SubAck token for the live subscription
+	// (0 until the ack arrives); a re-subscription presents it so the server
+	// resumes the decimation phase where the old session left off instead
+	// of restarting the 1-in-every window.
 	resumeToken uint64
 	err         error // first fatal error, behind done
 
@@ -179,7 +180,7 @@ func Dial(addr string) (*Client, error) {
 // immediately; only established connections are re-dialled.
 func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
 	opts = opts.withDefaults()
-	conn, err := dial(addr, opts)
+	conn, err := netgossip.Dial(addr, opts.TLS, handshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
@@ -207,7 +208,7 @@ func DialCluster(addrs []string, opts DialOptions) (*Client, error) {
 	var err error
 	idx := -1
 	for i, a := range addrs {
-		if conn, err = dial(a, opts); err == nil {
+		if conn, err = netgossip.Dial(a, opts.TLS, handshakeTimeout); err == nil {
 			idx = i
 			break
 		}
@@ -241,36 +242,6 @@ func (c *Client) rotateAddr() {
 		c.addrIdx = (c.addrIdx + 1) % len(c.addrs)
 		c.addr = c.addrs[c.addrIdx]
 	}
-}
-
-// dial establishes one transport connection to addr, completing the TLS
-// handshake up front when opts.TLS is set: a misconfigured, unauthentic or
-// plaintext endpoint fails the dial loudly instead of poisoning the framed
-// protocol with ciphertext. An empty ServerName is filled from the dialled
-// host, like tls.Dial does.
-func dial(addr string, opts DialOptions) (net.Conn, error) {
-	conn, err := (&net.Dialer{Timeout: handshakeTimeout}).Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if opts.TLS == nil {
-		return conn, nil
-	}
-	cfg := opts.TLS
-	if cfg.ServerName == "" {
-		if host, _, err := net.SplitHostPort(addr); err == nil {
-			cfg = cfg.Clone()
-			cfg.ServerName = host
-		}
-	}
-	tconn := tls.Client(conn, cfg)
-	_ = tconn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := tconn.Handshake(); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("tls handshake: %w", err)
-	}
-	_ = tconn.SetDeadline(time.Time{})
-	return tconn, nil
 }
 
 // New wraps an established connection (any net.Conn speaking the framed
@@ -416,7 +387,7 @@ func (c *Client) redial(attempts int, backoff time.Duration) (net.Conn, int, tim
 		}
 		attempts++
 		addr := c.currentAddr()
-		conn, err := dial(addr, c.opts)
+		conn, err := netgossip.Dial(addr, c.opts.TLS, handshakeTimeout)
 		if err == nil {
 			c.mu.Lock()
 			if c.closing.Load() {
@@ -684,13 +655,13 @@ func (c *Client) Subscribe(capacity int) (<-chan nodesampling.NodeID, error) {
 // stream at a rate it can afford (a 1-in-k thinning of an i.i.d. uniform
 // stream is itself i.i.d. uniform).
 //
-// SubscribeEvery keeps the pre-extension wire form, so it works against
-// daemons of any vintage — which also means the daemon never acks it and
-// a reconnect (DialOptions.Reconnect) restarts the decimation window.
-// That can only stretch delivery spacing, never compress it. A
-// subscription that also carries a rate cap (SubscribeRate) uses the
-// extended form and continues its window across reconnects via the
-// daemon's resume token.
+// The daemon acknowledges every subscription with a resume token (the
+// client does not wait for it). Under DialOptions.Reconnect the re-issued
+// subscription presents it, and the server seeds the fresh subscription's
+// offer counter with the old one's — so across the whole stitched stream,
+// two deliveries stay (at least) every offered draws apart. A daemon that
+// does not know the token (it restarted, or the token expired) starts a
+// fresh window, which can only stretch delivery spacing, never compress it.
 func (c *Client) SubscribeEvery(capacity, every int) (<-chan nodesampling.NodeID, error) {
 	return c.SubscribeRate(capacity, every, 0)
 }
@@ -701,14 +672,6 @@ func (c *Client) SubscribeEvery(capacity, every int) (<-chan nodesampling.NodeID
 // second of burst. rate 0 leaves the subscription uncapped. Decimation
 // composes with the cap: the 1-in-every thinning runs first, the bucket
 // meters what survives it.
-//
-// A rate-capped subscription uses the extended Subscribe wire form, which
-// the daemon acknowledges with a resume token; under
-// DialOptions.Reconnect the re-issued subscription presents it, and the
-// server seeds the fresh subscription's offer counter with the old one's
-// — so across the whole stitched stream, two deliveries stay (at least)
-// every offered draws apart. (Old daemons reject the extended form
-// outright; rate caps require an upgraded daemon.)
 func (c *Client) SubscribeRate(capacity, every int, rate uint32) (<-chan nodesampling.NodeID, error) {
 	if capacity < 1 || capacity > MaxSubscribeCapacity {
 		return nil, fmt.Errorf("client: subscription capacity must be in [1, %d], got %d", MaxSubscribeCapacity, capacity)

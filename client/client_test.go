@@ -230,8 +230,12 @@ func (s *restartableServer) start(ln net.Listener) {
 	}()
 }
 
-// serve answers one connection: pongs pings, echoes pushed batches as
-// stream data once subscribed, and reports Subscribe frames.
+// stubResumeToken is the token the restartable server acks every Subscribe
+// with.
+const stubResumeToken = 0x5eed
+
+// serve answers one connection: pongs pings, acks Subscribe frames and
+// reports them, and echoes pushed batches as stream data once subscribed.
 func (s *restartableServer) serve(conn net.Conn) {
 	defer conn.Close()
 	subscribed := false
@@ -244,6 +248,9 @@ func (s *restartableServer) serve(conn net.Conn) {
 		case netgossip.FrameSubscribe:
 			subscribed = true
 			s.subscribes <- f
+			if err := netgossip.WriteFrame(conn, netgossip.Frame{Type: netgossip.FrameSubAck, Token: stubResumeToken}); err != nil {
+				return
+			}
 		case netgossip.FramePushBatch:
 			if subscribed {
 				if err := netgossip.WriteFrame(conn, netgossip.Frame{Type: netgossip.FrameStreamData, IDs: f.IDs}); err != nil {
@@ -312,8 +319,8 @@ func TestClientReconnectResubscribes(t *testing.T) {
 	}
 	select {
 	case f := <-srv.subscribes:
-		if f.N != 256 || f.Every != 3 {
-			t.Fatalf("first subscribe N=%d Every=%d", f.N, f.Every)
+		if f.N != 256 || f.Every != 3 || f.Token != 0 {
+			t.Fatalf("first subscribe N=%d Every=%d Token=%d", f.N, f.Every, f.Token)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("server never saw the subscription")
@@ -335,17 +342,24 @@ func TestClientReconnectResubscribes(t *testing.T) {
 	srv.kill()
 	srv.restart()
 
-	// The client must re-subscribe with the exact original parameters.
+	// The client must re-subscribe with the exact original parameters and
+	// the token the first subscription was acked with (the ack preceded the
+	// echo above on the wire): a decimated subscription resumes its phase
+	// with or without a rate cap.
 	select {
 	case f := <-srv.subscribes:
-		if f.N != 256 || f.Every != 3 {
-			t.Fatalf("re-subscribe N=%d Every=%d, want 256 and 3", f.N, f.Every)
+		if f.N != 256 || f.Every != 3 || f.Token != stubResumeToken {
+			t.Fatalf("re-subscribe N=%d Every=%d Token=%#x, want 256, 3 and %#x", f.N, f.Every, f.Token, stubResumeToken)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("client never re-subscribed after the restart")
 	}
-	if c.Reconnects() == 0 {
-		t.Fatal("Reconnects() did not count the re-established connection")
+	// The supervisor counts the reconnect once its redial — of which the
+	// re-subscribe above is the last step — has returned.
+	for deadline := time.Now().Add(5 * time.Second); c.Reconnects() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Reconnects() did not count the re-established connection")
+		}
 	}
 	if c.Err() != nil {
 		t.Fatalf("reconnected client reports terminal error %v", c.Err())
@@ -430,6 +444,11 @@ func TestClientNoReconnectByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// A Pong proves the stub has registered the connection kill is to close
+	// (a kill landing between the accept and that would leave it served).
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	srv.kill()
 	select {
 	case <-c.done:

@@ -74,7 +74,7 @@ func TestAutoscaleFloodGrowShrinkLifecycle(t *testing.T) {
 	)
 	o := options{
 		shards: minShards, c: popSize, k: 32, s: 4,
-		buffer: 64, block: false, seed: 99, self: 17,
+		buffer: 64, block: false, seed: 99,
 		autoscale: true, minShards: minShards, maxShards: maxShards,
 		autoscaleInterval: 10 * time.Millisecond,
 	}

@@ -24,6 +24,7 @@ import (
 	"nodesampling/internal/metrics"
 	"nodesampling/internal/netgossip"
 	"nodesampling/internal/shard"
+	"nodesampling/internal/subhub"
 )
 
 // testClusterDaemons boots an n-member fleet on pre-bound loopback
@@ -574,8 +575,11 @@ func TestStreamSubscribeRateCap(t *testing.T) {
 // at the server: a subscribed connection's phase is parked under its
 // SubAck token on disconnect, redeemed (single-use) by a reconnect
 // presenting the token, and an unknown token still yields a working fresh
-// subscription. The InitialSeen arithmetic itself is pinned in the subhub
-// unit tests; this is the wire plumbing around it.
+// subscription; and a decimated client.SubscribeEvery subscriber — no rate
+// cap — whose connection drops reconnects with the token it was acked and
+// keeps its 1-in-k spacing across the gap. The InitialSeen arithmetic
+// itself is pinned in the subhub unit tests; this is the wire plumbing
+// around it.
 func TestStreamResumeTokenLifecycle(t *testing.T) {
 	d, ln := testStreamDaemon(t, defaultOptions())
 
@@ -584,9 +588,6 @@ func TestStreamResumeTokenLifecycle(t *testing.T) {
 		defer d.stream.resumeMu.Unlock()
 		return len(d.stream.resumes)
 	}
-	// Subscribe with the extended wire form (a rate cap high enough to
-	// never bite, or a presented resume token): only those forms prove the
-	// client understands the SubAck, so only they are acknowledged.
 	subscribe := func(token uint64) (net.Conn, uint64) {
 		t.Helper()
 		conn, err := net.Dial("tcp", ln.Addr().String())
@@ -648,35 +649,69 @@ func TestStreamResumeTokenLifecycle(t *testing.T) {
 	// The consumed token is gone: presenting it again starts a fresh
 	// window (no error, no redemption) and leaves the second entry parked.
 	conn3, _ := subscribe(token1)
-	defer conn3.Close()
 	if got := parked(); got != 1 {
 		t.Fatalf("stale token redeemed something: %d parked entries, want 1", got)
 	}
 
-	// Backward compatibility: the legacy 8-byte Subscribe form (decimation
-	// only, no rate cap or token) is NOT acknowledged — clients of that
-	// vintage treat an unexpected frame type as a fatal protocol error. The
-	// first frame down such a connection is stream data, never a SubAck.
-	legacy, err := net.Dial("tcp", ln.Addr().String())
+	conn3.Close()
+	waitFor(t, "the third phase to park", func() bool { return parked() == 2 })
+
+	// The public client, decimated only: 4 of every 5 offers are counted
+	// toward the next delivery when the connection is cut.
+	const every = 5
+	c, err := client.DialWithOptions(ln.Addr().String(), client.DialOptions{
+		Reconnect: true, MinBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	if err := netgossip.WriteFrame(legacy, netgossip.Frame{
-		Type: netgossip.FrameSubscribe, N: 64, Every: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pusher.PushBatch(ids); err != nil {
-		t.Fatal(err)
-	}
-	_ = legacy.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := netgossip.ReadFrame(legacy)
+	defer c.Close()
+	out, err := c.SubscribeEvery(64, every)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != netgossip.FrameStreamData {
-		t.Fatalf("legacy subscribe answered with frame type %d, want stream data (and no SubAck)", f.Type)
+	row := func() (subhub.SubStats, bool) {
+		for _, sub := range d.pool.Stats().Subscribers {
+			if sub.Every == every {
+				return sub, true
+			}
+		}
+		return subhub.SubStats{}, false
+	}
+	waitFor(t, "the decimated subscription", func() bool { _, ok := row(); return ok })
+	if err := c.PushBatch(ids[:every-1]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the pre-cut offers to be accounted", func() bool {
+		r, _ := row()
+		return r.Offered == every-1 && r.Filtered == every-1
+	})
+	// Cut every connection from the server side. Holding the accept lock
+	// until the phase is parked keeps the client's immediate redial from
+	// racing the old connection's teardown: in the wild that race costs one
+	// stretched window, here it would make the assertion below a coin toss.
+	d.stream.mu.Lock()
+	for conn := range d.stream.conns {
+		conn.Close()
+	}
+	waitFor(t, "the cut subscription's phase to park", func() bool { return parked() == 3 })
+	d.stream.mu.Unlock()
+	waitFor(t, "the reconnect to redeem its token", func() bool {
+		r, ok := row()
+		return ok && r.Offered == 0 && parked() == 2 && c.Reconnects() == 1
+	})
+	// One more offer completes the stitched window: were the window
+	// restarted, its draw would be filtered like the first four.
+	if err := c.PushBatch(ids[every-1 : every]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-out:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no delivery on the offer completing the stitched window")
+	}
+	if r, _ := row(); r.Offered != 1 || r.Filtered != 0 {
+		t.Fatalf("resumed subscription accounting %+v, want its one offer delivered", r)
 	}
 }
 

@@ -10,12 +10,11 @@ import (
 	"nodesampling/internal/netgossip"
 )
 
-// TestGossipListenerTLS closes the last plaintext gap: with the TLS plane
-// configured, the legacy one-way -gossip listener speaks TLS (mutual TLS
-// under -tls-client-ca) exactly like the framed stream listener. A
-// plaintext gossiper and a certificate-less TLS gossiper are both turned
-// away before a single id reaches the pool; a peer presenting a
-// certificate chained to the daemon's CA feeds it.
+// TestGossipListenerTLS: gossiping peers dial the stream listener, so they
+// meet its TLS plane (mutual TLS under -tls-client-ca) like every other
+// framed connection. A plaintext gossiper and a certificate-less TLS
+// gossiper are both turned away before a single id reaches the pool; a
+// peer presenting a certificate chained to the daemon's CA feeds it.
 func TestGossipListenerTLS(t *testing.T) {
 	kit := newCertKit(t)
 	ctx, cancel := testContext(t)
@@ -23,13 +22,13 @@ func TestGossipListenerTLS(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{
-			"-http", "127.0.0.1:0", "-gossip", "127.0.0.1:0",
+			"-http", "127.0.0.1:0", "-stream", "127.0.0.1:0",
 			"-shards", "2", "-c", "5", "-k", "6", "-s", "3", "-seed", "13",
 			"-tls-cert", kit.serverCertPath, "-tls-key", kit.serverKeyPath,
 			"-tls-client-ca", kit.caPath,
 		}, &sb)
 	}()
-	gossipAddr := waitForListener(t, &sb, "gossip listening on ")
+	gossipAddr := waitForListener(t, &sb, "stream listening on ")
 	httpAddr := waitForListener(t, &sb, "http listening on ")
 	hc := &http.Client{Transport: &http.Transport{TLSClientConfig: kit.clientTLS(t, nil)}}
 	processed := func() uint64 {
@@ -76,7 +75,7 @@ func TestGossipListenerTLS(t *testing.T) {
 			if _, err := conn.Write([]byte{0}); err == nil {
 				buf := make([]byte, 1)
 				if _, err := conn.Read(buf); err == nil {
-					t.Fatal("certificate-less TLS connection served by the mTLS gossip listener")
+					t.Fatal("certificate-less TLS connection served by the mTLS stream listener")
 				}
 			}
 		}
@@ -95,7 +94,7 @@ func TestGossipListenerTLS(t *testing.T) {
 	defer sender.Close()
 	conn, err := tls.Dial("tcp", gossipAddr, kit.clientTLS(t, &kit.clientCert))
 	if err != nil {
-		t.Fatalf("mTLS dial of the gossip listener: %v", err)
+		t.Fatalf("mTLS dial of the stream listener: %v", err)
 	}
 	if err := sender.AddConn(conn); err != nil {
 		t.Fatal(err)

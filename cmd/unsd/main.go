@@ -1,14 +1,14 @@
 // Command unsd is the uniform node sampling daemon: the deployable,
 // high-throughput form of the paper's sampling service. It absorbs node
-// identifiers from three directions — netgossip batches on a TCP listener
-// (the overlay's σ streams), POST /push over HTTP, and PushBatch frames on
-// the stream listener — into a sharded sampling pool, and serves uniform
-// samples, the pooled memory Γ, the continuous output stream σ′ and
-// operational statistics.
+// identifiers from two directions — PushBatch frames on the stream
+// listener (clients of the client package and gossiping netgossip peers
+// alike: the overlay's σ streams) and POST /push over HTTP — into a sharded
+// sampling pool, and serves uniform samples, the pooled memory Γ, the
+// continuous output stream σ′ and operational statistics.
 //
 // Usage:
 //
-//	unsd -http 127.0.0.1:8080 -stream 127.0.0.1:7947 -gossip 127.0.0.1:7946 -shards 8 -c 25
+//	unsd -http 127.0.0.1:8080 -stream 127.0.0.1:7947 -shards 8 -c 25
 //
 // HTTP endpoints:
 //
@@ -90,12 +90,11 @@
 // network, which is only appropriate on loopback or inside a private
 // enclave):
 //
-//	-tls-cert/-tls-key   serve TLS on the HTTP, framed stream and legacy
-//	                     gossip listeners
+//	-tls-cert/-tls-key   serve TLS on the HTTP and framed stream listeners
 //	-tls-client-ca       require and verify client certificates on the
-//	                     framed stream and gossip listeners (mutual TLS): a
-//	                     peer that cannot present a certificate chained to
-//	                     this CA never reaches the frame decoder
+//	                     framed stream listener (mutual TLS): a peer that
+//	                     cannot present a certificate chained to this CA
+//	                     never reaches the frame decoder
 //	-admin-token         bearer token on the mutating admin endpoints
 //	                     (/resize, /snapshot, /autoscale); falls back to
 //	                     $UNSD_ADMIN_TOKEN so the secret stays out of
@@ -140,14 +139,13 @@
 // internal/netgossip (and the public client package): a single persistent
 // TCP connection pushes id batches up and receives σ′ stream frames,
 // sample responses and pong keepalives down — the paper's stream-in/
-// stream-out service shape, without per-sample HTTP round trips.
-// Subscribe frames may carry a decimation interval (sample-every-k) and a
-// per-second rate cap (token bucket, one-second burst), so modest
-// consumers ride the hub at a rate they can afford; an extended-form
-// subscribe (rate cap or resume token — legacy forms are never acked,
-// since their clients predate the ack frame) is acknowledged with a
-// resume token a reconnecting decimated subscriber presents to continue
-// its 1-in-k phase where the dropped connection left off.
+// stream-out service shape, without per-sample HTTP round trips. A
+// gossiping peer is simply a connection that only pushes. Subscribe frames
+// carry a decimation interval (sample-every-k) and a per-second rate cap
+// (token bucket, one-second burst), so modest consumers ride the hub at a
+// rate they can afford; every subscribe is acknowledged with a resume
+// token a reconnecting decimated subscriber presents to continue its
+// 1-in-k phase where the dropped connection left off.
 //
 // Cluster plane (all members must share -seed and sampler flags):
 //
@@ -224,7 +222,6 @@ import (
 	"nodesampling/internal/cluster"
 	"nodesampling/internal/core"
 	"nodesampling/internal/netgossip"
-	"nodesampling/internal/rng"
 	"nodesampling/internal/shard"
 	"nodesampling/internal/spans"
 	"nodesampling/internal/telemetry"
@@ -246,7 +243,6 @@ type options struct {
 	buffer           int
 	block            bool
 	seed             uint64
-	self             uint64
 	snapshotPath     string
 	snapshotInterval time.Duration
 
@@ -300,12 +296,10 @@ type options struct {
 	autoscaleInterval time.Duration // 0 defaults to 1s
 }
 
-// daemon ties the sharded pool to its gossip and stream front-ends. The
-// HTTP layer is a plain handler over it, so tests can drive a live listener
-// via httptest.
+// daemon ties the sharded pool to its stream front-end. The HTTP layer is a
+// plain handler over it, so tests can drive a live listener via httptest.
 type daemon struct {
 	pool   *shard.Pool
-	peer   *netgossip.Peer
 	stream *streamServer // nil until listenStream
 	ctrl   *autoscale.Controller
 	start  time.Time
@@ -518,26 +512,10 @@ func newDaemon(o options) (*daemon, error) {
 		tracer:        spans.New(o.traceSample, traceRingSize),
 		pprofEnabled:  o.pprof,
 	}
-	peer, err := netgossip.NewPeer(netgossip.Config{
-		Self:   o.self,
-		Sink:   ingestTap{Pool: pool, d: d},
-		Fanout: 1,
-		Seed:   o.seed + 1,
-		// The exact per-id histogram is unbounded state an attacker could
-		// grow with distinct Sybil ids; the daemon exposes bounded shard
-		// stats instead.
-		DisableInputStats: true,
-	})
-	if err != nil {
-		_ = pool.Close()
-		return nil, err
-	}
-	d.peer = peer
 	if len(o.clusterMembers) > 0 {
 		var clTLS *tls.Config
 		if o.clusterCA != "" {
 			if clTLS, err = loadClusterTLS(o.clusterCA, o.tlsCert, o.tlsKey); err != nil {
-				_ = peer.Close()
 				_ = pool.Close()
 				return nil, err
 			}
@@ -553,7 +531,6 @@ func newDaemon(o options) (*daemon, error) {
 			Fallback: func(ids []uint64) { _ = d.ingest(ids, "forward") },
 		})
 		if err != nil {
-			_ = peer.Close()
 			_ = pool.Close()
 			return nil, err
 		}
@@ -583,7 +560,6 @@ func newDaemon(o options) (*daemon, error) {
 		Enabled:  o.autoscale,
 	})
 	if err != nil {
-		_ = peer.Close()
 		_ = pool.Close()
 		return nil, err
 	}
@@ -898,7 +874,7 @@ func (d *daemon) startSnapshotLoop(interval time.Duration) {
 }
 
 // Close shuts the autoscaler down first (no resize may race the
-// teardown), then the network front-ends so no batch races the pool's
+// teardown), then the stream front-end so no batch races the pool's
 // shutdown, writes a final snapshot while the pool is still serving, then
 // closes the pool (which closes the subscription hub and thereby every
 // remaining stream subscription).
@@ -917,7 +893,6 @@ func (d *daemon) Close() {
 	if d.stream != nil {
 		d.stream.Close()
 	}
-	_ = d.peer.Close()
 	if d.cluster != nil {
 		// After the ingest fronts: queued forwards drain into local ingest,
 		// so the final snapshot still captures them.
@@ -936,7 +911,7 @@ func (d *daemon) Close() {
 // maxPushBody bounds a /push request body and maxPushIDs caps the ids one
 // request may carry (the wire protocol's MaxBatch): a flood has to arrive
 // as many requests, and no single HTTP push can monopolise shard workers
-// longer than a gossip batch could.
+// longer than a framed batch could.
 const (
 	maxPushBody = 1 << 20
 	maxPushIDs  = netgossip.MaxBatch
@@ -1333,7 +1308,6 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		"dropped":                   st.Dropped,
 		"emit_dropped":              st.EmitDropped,
 		"throughput_ids_per_second": throughput,
-		"gossip_connections":        d.peer.NumConns(),
 		"stream_connections":        d.streamConns(),
 		"shard_count":               len(shards),
 		"strategy":                  d.pool.Strategy(),
@@ -1363,9 +1337,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	var (
 		httpAddr   = fs.String("http", "127.0.0.1:8080", "HTTP listen address")
 		streamAddr = fs.String("stream", "", "framed stream TCP listen address (empty disables)")
-		gossipAddr = fs.String("gossip", "", "netgossip TCP listen address (empty disables)")
-		connect    = fs.String("connect", "", "comma-separated netgossip peers to dial")
-		self       = fs.Uint64("self", 0, "this node's identifier (0 derives one from the seed)")
 		shards     = fs.Int("shards", 8, "sampler shards")
 		c          = fs.Int("c", 25, "sampling memory size per shard")
 		k          = fs.Int("k", 50, "sketch columns per shard")
@@ -1422,9 +1393,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *seed == 0 {
 		*seed = uint64(time.Now().UnixNano())
 	}
-	if *self == 0 {
-		*self = rng.Mix64(*seed)
-	}
 	if *snapEvery < 0 {
 		return fmt.Errorf("negative -snapshot-interval %v", *snapEvery)
 	}
@@ -1444,7 +1412,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	d, err := newDaemon(options{
 		shards: *shards, c: *c, k: *k, s: *s,
 		strategy: *strategy,
-		buffer:   *buffer, block: *block, seed: *seed, self: *self,
+		buffer:   *buffer, block: *block, seed: *seed,
 		snapshotPath: *snapPath, snapshotInterval: *snapEvery,
 		autoscale: *autoOn, minShards: *minSh, maxShards: *maxSh,
 		autoscaleInterval: *autoEvery,
@@ -1502,30 +1470,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "stream listening on %s\n", ln.Addr())
-	}
-	if *gossipAddr != "" {
-		// The gossip listener (framed PushBatch exchange between peers) rides
-		// the same TLS plane as the stream listener (certificate and, under
-		// -tls-client-ca, mutual-TLS client verification): no listener trusts
-		// its network.
-		ln, err := net.Listen("tcp", *gossipAddr)
-		if err != nil {
-			return err
-		}
-		if d.tlsStream != nil {
-			ln = tls.NewListener(ln, d.tlsStream)
-		}
-		d.peer.Serve(ln)
-		defer ln.Close()
-		fmt.Fprintf(w, "gossip listening on %s\n", ln.Addr())
-	}
-	for _, addr := range strings.Split(*connect, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			if err := d.peer.Connect(addr); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "gossip connected to %s\n", addr)
-		}
 	}
 
 	ln, err := net.Listen("tcp", *httpAddr)

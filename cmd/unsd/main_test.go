@@ -29,7 +29,7 @@ func testDaemon(t *testing.T, o options) *daemon {
 }
 
 func defaultOptions() options {
-	return options{shards: 4, c: 10, k: 10, s: 5, buffer: 16, block: true, seed: 1, self: 99}
+	return options{shards: 4, c: 10, k: 10, s: 5, buffer: 16, block: true, seed: 1}
 }
 
 func postPush(t *testing.T, url string, ids []uint64) *http.Response {
@@ -160,7 +160,6 @@ func TestPushSampleMemoryStats(t *testing.T) {
 		Processed  uint64  `json:"processed"`
 		Dropped    uint64  `json:"dropped"`
 		Throughput float64 `json:"throughput_ids_per_second"`
-		Conns      int     `json:"gossip_connections"`
 		Shards     []struct {
 			Processed  uint64 `json:"processed"`
 			Dropped    uint64 `json:"dropped"`
@@ -301,16 +300,16 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestGossipFeedsDaemon drives the other ingestion path: a netgossip peer
-// dials the daemon's TCP listener and gossips; the ids must become visible
-// through the HTTP surface.
+// TestGossipFeedsDaemon drives the overlay's ingestion path: a netgossip
+// peer dials the daemon's stream listener — the one front door for frames —
+// and gossips; the ids must become visible through the HTTP surface, and the
+// peer is accounted like any other stream connection.
 func TestGossipFeedsDaemon(t *testing.T) {
 	d := testDaemon(t, defaultOptions())
-	ln, err := d.peer.Listen("127.0.0.1:0")
+	ln, err := d.listenStream("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
@@ -335,7 +334,7 @@ func TestGossipFeedsDaemon(t *testing.T) {
 
 	var stats struct {
 		Processed uint64 `json:"processed"`
-		Conns     int    `json:"gossip_connections"`
+		Conns     int    `json:"stream_connections"`
 	}
 	waitFor(t, "gossiped ids to reach the pool", func() bool {
 		getJSON(t, ts.URL+"/stats", &stats)
@@ -349,6 +348,12 @@ func TestGossipFeedsDaemon(t *testing.T) {
 	}
 	if len(sampled.Samples) != 1 || sampled.Samples[0] != "7" {
 		t.Fatalf("samples = %v, want the gossiping peer's id 7", sampled.Samples)
+	}
+	// The daemon never writes to a connection that only pushes, so the peer
+	// (which drops a neighbour on any frame but a batch or a keepalive)
+	// still holds its one connection.
+	if n := sender.NumConns(); n != 1 {
+		t.Fatalf("gossiping peer holds %d connections, want 1", n)
 	}
 }
 
@@ -377,7 +382,7 @@ func TestRunLifecycle(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{
-			"-http", "127.0.0.1:0", "-gossip", "127.0.0.1:0",
+			"-http", "127.0.0.1:0", "-stream", "127.0.0.1:0",
 			"-shards", "2", "-c", "5", "-k", "6", "-s", "3", "-seed", "11",
 		}, &sb)
 	}()
@@ -409,8 +414,8 @@ func TestRunLifecycle(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not shut down")
 	}
-	if !strings.Contains(sb.String(), "gossip listening on ") {
-		t.Fatalf("missing gossip listener line:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "stream listening on ") {
+		t.Fatalf("missing stream listener line:\n%s", sb.String())
 	}
 	if !strings.Contains(sb.String(), "shut down") {
 		t.Fatalf("missing shutdown line:\n%s", sb.String())
@@ -421,6 +426,13 @@ func TestBadFlags(t *testing.T) {
 	var sb safeBuilder
 	if err := run(context.Background(), []string{"-nope"}, &sb); err == nil {
 		t.Error("unknown flag should fail")
+	}
+	// The gossip listener, its dial-out and the peer identity it gossiped
+	// are gone: peers dial -stream.
+	for _, gone := range [][]string{{"-gossip", "127.0.0.1:0"}, {"-connect", "127.0.0.1:1"}, {"-self", "7"}} {
+		if err := run(context.Background(), gone, &sb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: error %v, want a flag-parsing failure", gone, err)
+		}
 	}
 	if err := run(context.Background(), []string{"-shards", "0"}, &sb); err == nil {
 		t.Error("zero shards should fail")

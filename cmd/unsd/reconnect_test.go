@@ -31,8 +31,9 @@ func subscriberRow(t *testing.T, url string) (subAccounting, bool) {
 }
 
 // TestStreamReconnectDecimationPhaseResets pins the documented decimation
-// semantics across a daemon restart: the client's auto-resubscribe starts
-// a fresh server-side decimation window, so the k-1 draws the old session
+// semantics across a daemon restart: the restarted daemon never issued the
+// resume token the client's auto-resubscribe presents, so it starts a
+// fresh server-side decimation window and the k-1 draws the old session
 // had already counted toward the next delivery are forgotten. The reset
 // can only stretch the spacing between two deliveries — the re-issued
 // subscription must see a full k fresh offers before its first delivery,

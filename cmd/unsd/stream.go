@@ -52,7 +52,10 @@ const (
 // TCP listener: persistent connections that push id batches up and carry
 // the pool's output stream σ′, sample responses and keepalives down. It is
 // the subscription-shaped surface the HTTP endpoints cannot offer — one
-// connection instead of a poll loop per sample.
+// connection instead of a poll loop per sample — and the daemon's one front
+// door for frames: clients, gossiping netgossip peers (connections that
+// only ever push) and cluster members all arrive here, under the same
+// connection cap, deadlines and TLS plane.
 type streamServer struct {
 	d *daemon
 
@@ -271,14 +274,13 @@ func (s *streamServer) handle(conn net.Conn) {
 	var sub *subhub.Subscription
 	var subDone chan struct{}
 	var resumeToken uint64
-	var subEvery int
 	defer func() {
 		if sub != nil {
 			sub.Cancel()
 			<-subDone
 			// Park the decimation phase so a reconnect presenting the token
 			// resumes the 1-in-every cadence mid-window.
-			if subEvery > 1 {
+			if sub.Every() > 1 {
 				s.parkResume(resumeToken, sub.Seen())
 			}
 		}
@@ -308,8 +310,9 @@ func (s *streamServer) handle(conn net.Conn) {
 		}
 		switch f.Type {
 		case netgossip.FramePushBatch:
-			// A closed or overloaded pool only costs stream elements, like
-			// the gossip path: the connection stays up. The shared ingest
+			// A closed or overloaded pool only costs stream elements, which a
+			// sampling service can always afford: the connection stays up
+			// (and a gossiping peer expects no answer). The shared ingest
 			// funnel observes the offered stream (uniformity probe, batch
 			// latency, sampled trace) before the pool takes ownership of
 			// the slice — and under -cluster, batches are partitioned and
@@ -399,18 +402,12 @@ func (s *streamServer) handle(conn net.Conn) {
 				capacity = maxSubscribeBuffer
 			}
 			every := int(f.Every)
-			if every < 1 {
-				every = 1
-			}
 			if every > subhub.MaxDecimation {
 				every = subhub.MaxDecimation
 			}
 			// A presented token redeems the previous session's decimation
-			// phase; an unknown or expired one just starts a fresh window.
-			var initialSeen uint64
-			if f.Token != 0 {
-				initialSeen, _ = s.takeResume(f.Token)
-			}
+			// phase; none, or an unknown or expired one, starts a fresh window.
+			initialSeen, _ := s.takeResume(f.Token)
 			var err error
 			sub, err = s.d.pool.SubscribeWith(subhub.SubOptions{
 				Capacity:    capacity,
@@ -422,23 +419,14 @@ func (s *streamServer) handle(conn net.Conn) {
 				_ = w.write(netgossip.Frame{Type: netgossip.FrameError, Msg: trimErr(err)})
 				return
 			}
-			subEvery = every
-			// The SubAck (and the resume token it carries) goes only to
-			// clients that demonstrated awareness of the extension by using
-			// the 12- or 20-byte Subscribe form — a rate cap or a presented
-			// resume token, neither of which pre-extension daemons accept.
-			// Clients on the legacy 4/8-byte forms predate the ack and treat
-			// an unexpected frame type as a fatal protocol error, so for
-			// them the subscribe stays silent, exactly as older daemons
-			// behaved; their reconnects restart the decimation window, which
-			// can only stretch delivery spacing, never compress it.
-			if f.Rate > 0 || f.Token != 0 {
-				resumeToken = newResumeToken()
-				if err := w.write(netgossip.Frame{Type: netgossip.FrameSubAck, Token: resumeToken}); err != nil {
-					return
-				}
-			}
+			// The ack goes out before the writer starts, so it precedes the
+			// subscription's first StreamData frame on the wire.
 			subDone = make(chan struct{})
+			resumeToken = newResumeToken()
+			if err := w.write(netgossip.Frame{Type: netgossip.FrameSubAck, Token: resumeToken}); err != nil {
+				close(subDone) // no writer to wait for at teardown
+				return
+			}
 			go s.streamWriter(sub, w, subDone)
 		case netgossip.FramePing:
 			if err := w.write(netgossip.Frame{Type: netgossip.FramePong, Token: f.Token}); err != nil {

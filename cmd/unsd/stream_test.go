@@ -167,7 +167,7 @@ func TestStreamStalledSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stalled.Close()
-	if err := netgossip.WriteFrame(stalled, netgossip.Frame{Type: netgossip.FrameSubscribe, N: 1}); err != nil {
+	if err := netgossip.WriteFrame(stalled, netgossip.Frame{Type: netgossip.FrameSubscribe, N: 1, Every: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var stats struct {
@@ -250,21 +250,26 @@ func TestStreamProtocolErrors(t *testing.T) {
 	}
 	defer conn.Close()
 	for i := 0; i < 2; i++ {
-		if err := netgossip.WriteFrame(conn, netgossip.Frame{Type: netgossip.FrameSubscribe, N: 8}); err != nil {
+		if err := netgossip.WriteFrame(conn, netgossip.Frame{Type: netgossip.FrameSubscribe, N: 8, Every: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	// The first Subscribe used the legacy 4-byte form, so it must NOT be
-	// acknowledged — pre-extension clients treat an unexpected frame type
-	// as fatal, and an upgraded daemon must not disconnect them. The first
-	// frame back is therefore the second Subscribe's protocol violation.
+	// Every Subscribe is acknowledged, so the first frame back is the
+	// SubAck with its resume token; the second is the second Subscribe's
+	// protocol violation.
 	f, err = netgossip.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if f.Type != netgossip.FrameSubAck || f.Token == 0 {
+		t.Fatalf("frame = %+v, want a SubAck carrying a resume token", f)
+	}
+	if f, err = netgossip.ReadFrame(conn); err != nil {
+		t.Fatal(err)
+	}
 	if f.Type != netgossip.FrameError || f.Msg != "already subscribed" {
-		t.Fatalf("frame = %+v, want already-subscribed error (and no SubAck for a legacy subscribe)", f)
+		t.Fatalf("frame = %+v, want already-subscribed error", f)
 	}
 	waitFor(t, "the server to hang up after the error", func() bool {
 		// Drain any σ′ frames still in flight until the close surfaces.
@@ -363,6 +368,82 @@ func TestStreamSubscribeDecimation(t *testing.T) {
 	}
 }
 
+// deadlineConn reports the read deadlines its handler sets.
+type deadlineConn struct {
+	net.Conn
+	set chan time.Time
+}
+
+func (c deadlineConn) SetReadDeadline(t time.Time) error {
+	select {
+	case c.set <- t:
+	default:
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestStreamSilentConnectionIsCut: a connection that opens and never sends
+// a byte — a TLS client that never handshakes looks the same, its handshake
+// runs inside the first read — waits under a read deadline of
+// streamIdleTimeout, not forever (the constant is two minutes and has no
+// test seam, so the deadline is asserted rather than waited out), and when
+// the deadline passes the handler hangs up and gives the slot back.
+func TestStreamSilentConnectionIsCut(t *testing.T) {
+	d, _ := testStreamDaemon(t, defaultOptions())
+	silent, server := net.Pipe()
+	defer silent.Close()
+	conn := deadlineConn{Conn: server, set: make(chan time.Time, 1)}
+	s := d.stream
+	s.mu.Lock()
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	began := time.Now()
+	go s.handle(conn)
+	select {
+	case at := <-conn.set:
+		if at.Before(began.Add(streamIdleTimeout)) || at.After(time.Now().Add(streamIdleTimeout)) {
+			t.Fatalf("silent connection's read deadline is %v away, want streamIdleTimeout (%v)", at.Sub(began), streamIdleTimeout)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler read from a fresh connection without setting a deadline")
+	}
+	// Let the deadline pass now instead of in two minutes.
+	if err := server.SetReadDeadline(time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	// The best-effort Error frame naming the timeout, then the hang-up.
+	_ = silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f, err := netgossip.ReadFrame(silent); err != nil || f.Type != netgossip.FrameError {
+		t.Fatalf("(%+v, %v), want the Error frame of a timed-out read", f, err)
+	}
+	waitFor(t, "the timed-out connection to be dropped", func() bool { return d.streamConns() == 0 })
+}
+
+// TestStreamSubscriberGoneBeforeAck: a client that sends its Subscribe and
+// hangs up makes the SubAck write fail, after the subscription is
+// registered and before its writer exists. The handler must still unwind —
+// cancel the subscription, give the slot back — instead of waiting at
+// teardown for a writer that was never started (which would also wedge
+// the daemon's Close behind it).
+func TestStreamSubscriberGoneBeforeAck(t *testing.T) {
+	d, _ := testStreamDaemon(t, defaultOptions())
+	gone, server := net.Pipe()
+	s := d.stream
+	s.mu.Lock()
+	s.conns[server] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go s.handle(server)
+	if err := netgossip.WriteFrame(gone, netgossip.Frame{Type: netgossip.FrameSubscribe, N: 8, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	gone.Close() // the pipe is synchronous: the ack has nobody to read it
+	waitFor(t, "the handler to unwind", func() bool {
+		return d.streamConns() == 0 && len(d.pool.Stats().Subscribers) == 0
+	})
+}
+
 // discardConn accepts every write and deadline: the far end of a
 // connWriter whose socket is not the subject.
 type discardConn struct{ net.Conn }
@@ -439,18 +520,12 @@ func TestStreamSubscribersReceiveEmittedSequence(t *testing.T) {
 		defer conn.Close()
 		sk := &socket{conn: conn, done: make(chan struct{})}
 		socks[i] = sk
-		// The legacy Subscribe form is not acknowledged; the Pong behind it
-		// proves the read loop has registered the subscription.
-		for _, f := range []netgossip.Frame{
-			{Type: netgossip.FrameSubscribe, N: maxSubscribeBuffer},
-			{Type: netgossip.FramePing, Token: 1},
-		} {
-			if err := netgossip.WriteFrame(conn, f); err != nil {
-				t.Fatal(err)
-			}
+		// The SubAck proves the read loop has registered the subscription.
+		if err := netgossip.WriteFrame(conn, netgossip.Frame{Type: netgossip.FrameSubscribe, N: maxSubscribeBuffer, Every: 1}); err != nil {
+			t.Fatal(err)
 		}
-		if f, err := netgossip.ReadFrame(conn); err != nil || f.Type != netgossip.FramePong {
-			t.Fatalf("subscriber %d: (%+v, %v), want the Pong", i, f, err)
+		if f, err := netgossip.ReadFrame(conn); err != nil || f.Type != netgossip.FrameSubAck {
+			t.Fatalf("subscriber %d: (%+v, %v), want the SubAck", i, f, err)
 		}
 		go func() {
 			defer close(sk.done)

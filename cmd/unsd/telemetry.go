@@ -15,25 +15,12 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"nodesampling/internal/shard"
 	"nodesampling/internal/spans"
 	"nodesampling/internal/telemetry"
 )
 
-// ingestTap is the netgossip sink: the daemon's unified ingest funnel,
-// labelled with the gossip surface. Embedding the pool keeps the peer's
-// Sample/Memory pass-through (SampleSource) intact.
-type ingestTap struct {
-	*shard.Pool
-	d *daemon
-}
-
-func (t ingestTap) PushBatch(ids []uint64) error {
-	return t.d.ingestRouted(ids, "gossip")
-}
-
-// ingest is the one funnel every ingest front shares — HTTP POST /push, the
-// framed stream's PushBatch frames, and gossip batches. It offers the batch
+// ingest is the one funnel every ingest front shares — HTTP POST /push and
+// the framed stream's PushBatch and Forward frames. It offers the batch
 // to the uniformity gauge's input probe (drops included: an attacker's
 // flood is part of the input distribution), observes the wire-batch ingest
 // latency, and — one batch in -trace-sample — opens the root "ingest" span
@@ -94,8 +81,8 @@ func (d *daemon) newRegistry() *telemetry.Registry {
 	return reg
 }
 
-// collectDaemon exports what only the daemon sees: uptime, both network
-// front-ends' connection accounting, admin-plane auth failures, and the
+// collectDaemon exports what only the daemon sees: uptime, the stream
+// front-end's connection accounting, admin-plane auth failures, and the
 // durability plane's snapshot outcomes.
 func (d *daemon) collectDaemon() []telemetry.Family {
 	var accepted, rejected, frameErrs, dataFrames, conns float64
@@ -119,9 +106,6 @@ func (d *daemon) collectDaemon() []telemetry.Family {
 		telemetry.G("unsd_uptime_seconds",
 			"Seconds since the daemon started.",
 			time.Since(d.start).Seconds()),
-		telemetry.G("unsd_gossip_connections",
-			"Live netgossip connections on the framed gossip listener.",
-			float64(d.peer.NumConns())),
 		telemetry.G("unsd_stream_connections",
 			"Live framed-protocol stream connections.",
 			conns),

@@ -127,7 +127,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"unsd_autoscale_enabled", "unsd_autoscale_load_ewma",
 		"unsd_autoscale_ticks_total", "unsd_autoscale_resizes_total",
 		"unsd_stream_connections", "unsd_stream_accepted_total",
-		"unsd_stream_frame_errors_total", "unsd_gossip_connections",
+		"unsd_stream_frame_errors_total",
 		"unsd_stream_data_frames_total", "unsd_subscriber_capped_ids_total",
 		"unsd_auth_failures_total", "unsd_snapshot_writes_total",
 		"unsd_snapshot_failures_total", "unsd_snapshot_sealed",
@@ -191,7 +191,6 @@ func TestMetricsReconcilesWithStats(t *testing.T) {
 		EmitDropped uint64 `json:"emit_dropped"`
 		ShardCount  int    `json:"shard_count"`
 		MapEpoch    uint64 `json:"map_epoch"`
-		GossipConns int    `json:"gossip_connections"`
 		StreamConns int    `json:"stream_connections"`
 		Subscribers []struct {
 			ID      uint64 `json:"id"`
@@ -218,7 +217,6 @@ func TestMetricsReconcilesWithStats(t *testing.T) {
 	check("unsd_pool_emit_dropped_ids_total", float64(stats.EmitDropped))
 	check("unsd_pool_shards", float64(stats.ShardCount))
 	check("unsd_pool_map_epoch", float64(stats.MapEpoch))
-	check("unsd_gossip_connections", float64(stats.GossipConns))
 	check("unsd_stream_connections", float64(stats.StreamConns))
 	if len(stats.Subscribers) != 1 {
 		t.Fatalf("want 1 subscriber in /stats, got %d", len(stats.Subscribers))

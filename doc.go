@@ -178,13 +178,11 @@
 // before they reach the buffer — time-based where decimation is
 // count-based, and like it a uniformity-preserving thinning; the drops are
 // accounted separately ("capped") from buffer overflow. Over the framed
-// stream protocol an extended-form subscription (one carrying a rate cap
-// or a resume token — the forms that prove the client speaks the
-// extension; legacy-form subscribes are never acked, for their clients'
-// sake) is also resumable: the subscribe acknowledgement carries a resume
-// token, and a reconnecting client that presents it continues the 1-in-k
-// phase exactly where the dropped connection left off instead of
-// restarting the count. Service
+// stream protocol every subscription is also resumable: there is one
+// Subscribe frame (capacity, interval, rate cap, resume token), its
+// acknowledgement carries a resume token, and a reconnecting client that
+// presents it continues the 1-in-k phase exactly where the dropped
+// connection left off instead of restarting the count. Service
 // fans out through the same hub, with the same accounting, decimation and
 // rate caps, at single-sampler scale.
 //
@@ -271,7 +269,7 @@
 // paths into fixed-bucket Prometheus histograms (atomic increments on the
 // hot path, bucket scans only at scrape time): per-wire-batch ingest
 // latency (unsd_ingest_batch_duration_seconds, one observation per batch
-// from any surface — HTTP, stream or gossip), Sample/SampleN service time
+// from either surface — HTTP or stream), Sample/SampleN service time
 // (unsd_sample_duration_seconds), the σ′ emit→delivery lag through the
 // fan-out queue (unsd_emit_delivery_lag_seconds), snapshot write duration
 // (unsd_snapshot_write_duration_seconds) and shard-pool resize hand-off
@@ -309,9 +307,9 @@
 //
 // Start every member with -cluster, the same -members list, the same
 // explicit -seed and sampler flags (internal/cluster sorts the list, so
-// member indices agree everywhere). Ingest arriving at ANY member — HTTP,
-// framed stream or gossip — is partitioned against the routing table: the
-// locally-owned ids enter the local pool, the rest travel to their owner
+// member indices agree everywhere). Ingest arriving at ANY member — HTTP or
+// framed stream, gossiping peers included — is partitioned against the
+// routing table: the locally-owned ids enter the local pool, the rest travel to their owner
 // members in batches over persistent framed connections (FrameForward,
 // tagged with the sender's placement epoch). An undeliverable batch falls
 // back to local ingest: misplaced, never lost, and harmless to uniformity
@@ -342,9 +340,9 @@
 // cannot absorb the traffic, and the unsd daemon (cmd/unsd) to serve a
 // Pool over the network: HTTP for request/response (plus POST /resize,
 // POST /snapshot and POST /autoscale admin endpoints for the elastic
-// plane), netgossip TCP for overlay ingest, and a framed bidirectional
-// stream protocol — push id batches up, receive σ′ down, one persistent
-// connection per consumer. With -snapshot-path the daemon restores its
+// plane), and a framed bidirectional stream protocol on one listener —
+// push id batches up (an overlay's netgossip peers dial it and do only
+// that), receive σ′ down, one persistent connection per consumer. With -snapshot-path the daemon restores its
 // pool at boot and persists it (fsync-durably) periodically and at
 // shutdown; with -autoscale it resizes itself from observed load. The client package (nodesampling/client)
 // speaks the stream protocol, optionally surviving daemon restarts with

@@ -182,6 +182,11 @@ func handle(conn net.Conn, pool *nodesampling.Pool) {
 				return
 			}
 			sub = s
+			// Every Subscribe is acknowledged; this server keeps no
+			// decimation phase to resume, so its token is 0.
+			if err := write(netgossip.Frame{Type: netgossip.FrameSubAck}); err != nil {
+				return
+			}
 			go streamOut(s, write)
 		case netgossip.FramePing:
 			if err := write(netgossip.Frame{Type: netgossip.FramePong, Token: f.Token}); err != nil {

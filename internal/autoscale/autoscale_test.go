@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"nodesampling/internal/cms"
+	"nodesampling/internal/core"
 	"nodesampling/internal/rng"
 	"nodesampling/internal/shard"
 )
@@ -326,11 +326,13 @@ func TestCloseWithoutStart(t *testing.T) {
 // and finally Close race it — the race detector and the
 // either-complete-or-closed contract are the assertions.
 func TestControllerAgainstLivePool(t *testing.T) {
+	sampler, err := core.NewFactory(core.DefaultStrategy, core.StrategyParams{K: 16, S: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := shard.New(shard.Config{
 		Shards: 2, Buffer: 2, Block: false, Seed: 11, Capacity: 16,
-		NewSketch: func(r *rng.Xoshiro) (*cms.Sketch, error) {
-			return cms.NewWithDimensions(16, 4, r)
-		},
+		Sampler: sampler,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"nodesampling/internal/cursor"
 	"nodesampling/internal/netgossip"
 )
 
@@ -66,116 +67,35 @@ func EncodeMigration(m Migration) ([]byte, error) {
 	return buf, nil
 }
 
-// blobReader is a bounds-checked sequential decoder: every read validates
-// the remaining length first, so a truncated or hostile blob yields a
-// clean error instead of a panic.
-type blobReader struct {
-	b   []byte
-	off int
-}
-
-func (r *blobReader) need(n int) error {
-	if len(r.b)-r.off < n {
-		return fmt.Errorf("cluster: migration blob truncated at offset %d (need %d of %d)", r.off, n, len(r.b))
-	}
-	return nil
-}
-
-func (r *blobReader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *blobReader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *blobReader) bytes(n int) ([]byte, error) {
-	if err := r.need(n); err != nil {
-		return nil, err
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v, nil
-}
-
 // DecodeMigration parses and validates a migration blob. Returned slices
 // are freshly allocated (the frame payload buffer they arrive in belongs
 // to the connection's reader).
 func DecodeMigration(blob []byte) (Migration, error) {
 	var m Migration
-	r := &blobReader{b: blob}
-	magic, err := r.bytes(4)
-	if err != nil {
+	r := cursor.New("cluster: migration blob", blob)
+	magic, version := r.Bytes(4), r.U32()
+	if err := r.Err(); err != nil {
 		return m, err
 	}
 	if [4]byte(magic) != blobMagic {
 		return m, fmt.Errorf("cluster: bad migration blob magic %q", magic)
 	}
-	version, err := r.u32()
-	if err != nil {
-		return m, err
-	}
 	if version != blobVersion {
 		return m, fmt.Errorf("cluster: unsupported migration blob version %d", version)
 	}
-	if m.Epoch, err = r.u64(); err != nil {
-		return m, err
-	}
-	if m.FromSlot, err = r.u32(); err != nil {
-		return m, err
-	}
-	if m.ToSlot, err = r.u32(); err != nil {
+	m.Epoch, m.FromSlot, m.ToSlot = r.U64(), r.U32(), r.U32()
+	sn := r.U32()
+	if err := r.Err(); err != nil {
 		return m, err
 	}
 	if m.FromSlot > m.ToSlot {
 		return m, fmt.Errorf("cluster: migration slot range [%d, %d] inverted", m.FromSlot, m.ToSlot)
 	}
-	sn, err := r.u32()
-	if err != nil {
-		return m, err
-	}
 	if sn == 0 || sn > maxBlobStrategy {
 		return m, fmt.Errorf("cluster: migration strategy name length %d out of [1, %d]", sn, maxBlobStrategy)
 	}
-	name, err := r.bytes(int(sn))
-	if err != nil {
-		return m, err
-	}
-	m.Strategy = string(name)
-	idn, err := r.u32()
-	if err != nil {
-		return m, err
-	}
-	if int(idn) > (len(blob)-r.off)/8 {
-		return m, fmt.Errorf("cluster: migration blob claims %d ids with %d bytes left", idn, len(blob)-r.off)
-	}
-	m.IDs = make([]uint64, idn)
-	for i := range m.IDs {
-		if m.IDs[i], err = r.u64(); err != nil {
-			return m, err
-		}
-	}
-	stn, err := r.u32()
-	if err != nil {
-		return m, err
-	}
-	state, err := r.bytes(int(stn))
-	if err != nil {
-		return m, err
-	}
-	m.State = append([]byte(nil), state...)
-	if r.off != len(blob) {
-		return m, fmt.Errorf("cluster: migration blob has %d trailing bytes", len(blob)-r.off)
-	}
-	return m, nil
+	m.Strategy = string(r.Bytes(int(sn)))
+	m.IDs = r.U64s(int(r.U32()))
+	m.State = append([]byte(nil), r.Bytes(int(r.U32()))...)
+	return m, r.End()
 }

@@ -358,6 +358,46 @@ func TestMigrationBlobRejects(t *testing.T) {
 	}
 }
 
+// FuzzDecodeMigration hammers the migration-blob decoder with hostile
+// bytes: it must fail cleanly or decode a migration whose re-encoding is
+// exactly the bytes it was given (the format has one encoding per value).
+func FuzzDecodeMigration(f *testing.F) {
+	for _, m := range []Migration{
+		{Epoch: 3, FromSlot: 16, ToSlot: 31, Strategy: "knowledge-free",
+			IDs: []uint64{1, 1 << 63, 42}, State: []byte{0xde, 0xad, 0xbe, 0xef}},
+		{Epoch: 1, Strategy: "basalt", State: []byte{1}},
+		{Epoch: 1 << 40, FromSlot: 4095, ToSlot: 4095, Strategy: "s", IDs: make([]uint64, 64)},
+	} {
+		blob, err := EncodeMigration(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		f.Add(blob[:len(blob)-1])
+		f.Add(append(append([]byte(nil), blob...), 0xff))
+	}
+	f.Add([]byte{})
+	f.Add(blobMagic[:])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeMigration(data)
+		if err != nil {
+			return
+		}
+		if len(m.IDs) > len(data)/8 {
+			t.Fatalf("decoded %d ids from %d bytes", len(m.IDs), len(data))
+		}
+		re, err := EncodeMigration(m)
+		if err != nil {
+			t.Fatalf("re-encoding decoded migration %+v failed: %v", m, err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("decode/encode mismatch for %x: re-encoded %x", data, re)
+		}
+	})
+}
+
 // TestMigrationBlobEncodeRejects: oversize and malformed migrations refuse
 // on the sending side.
 func TestMigrationBlobEncodeRejects(t *testing.T) {

@@ -122,7 +122,7 @@ func (mc *memberConn) run() {
 			return
 		default:
 		}
-		conn, err := mc.dial()
+		conn, err := netgossip.Dial(mc.addr, mc.tls, mc.dialTimeout)
 		if err != nil {
 			mc.dialFailures.Add(1)
 			select {
@@ -164,31 +164,6 @@ func (mc *memberConn) run() {
 		<-readerDone
 		mc.c.logger.Warn("cluster member disconnected", "member", mc.addr)
 	}
-}
-
-func (mc *memberConn) dial() (net.Conn, error) {
-	conn, err := (&net.Dialer{Timeout: mc.dialTimeout}).Dial("tcp", mc.addr)
-	if err != nil {
-		return nil, err
-	}
-	if mc.tls == nil {
-		return conn, nil
-	}
-	cfg := mc.tls
-	if cfg.ServerName == "" {
-		if host, _, herr := net.SplitHostPort(mc.addr); herr == nil {
-			cfg = cfg.Clone()
-			cfg.ServerName = host
-		}
-	}
-	tconn := tls.Client(conn, cfg)
-	_ = tconn.SetDeadline(time.Now().Add(mc.dialTimeout))
-	if err := tconn.Handshake(); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("tls handshake: %w", err)
-	}
-	_ = tconn.SetDeadline(time.Time{})
-	return tconn, nil
 }
 
 // writeLoop drains the forward queue onto conn, tagging every Forward

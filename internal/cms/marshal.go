@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"nodesampling/internal/cursor"
 	"nodesampling/internal/hashing"
 )
 
@@ -67,24 +68,25 @@ func (sk *Sketch) MarshalBinary() ([]byte, error) {
 // global-minimum tracking. It implements encoding.BinaryUnmarshaler; the
 // receiver's previous state is discarded.
 func (sk *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < headerLenV1 {
-		return errors.New("cms: truncated sketch data")
+	r := cursor.New("cms: sketch data", data)
+	magic, version := r.Bytes(4), r.U32()
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if string(data[:4]) != marshalMagic {
+	if string(magic) != marshalMagic {
 		return errors.New("cms: bad magic, not a serialised sketch")
 	}
 	header := headerLenV1
 	mode := hashing.ModeModulo
-	off := 8
-	switch v := binary.BigEndian.Uint32(data[4:8]); v {
+	switch version {
 	case marshalVersion:
 		// Legacy blob: bucket map implied modulo.
 	case marshalVersionV2:
 		header = headerLenV2
-		if len(data) < header {
-			return errors.New("cms: truncated sketch data")
+		m := r.U32()
+		if err := r.Err(); err != nil {
+			return err
 		}
-		m := binary.BigEndian.Uint32(data[8:12])
 		if m == marshalModeModulo || m > uint32(hashing.ModeFastrange) {
 			// Modulo sketches serialise as version 1; a v2 blob claiming
 			// modulo (or an unknown mode) is not something this code ever
@@ -92,13 +94,13 @@ func (sk *Sketch) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("cms: invalid bucket map mode %d in version 2 sketch", m)
 		}
 		mode = hashing.Mode(m)
-		off = 12
 	default:
-		return fmt.Errorf("cms: unsupported version %d", v)
+		return fmt.Errorf("cms: unsupported version %d", version)
 	}
-	rows := binary.BigEndian.Uint64(data[off:])
-	cols := binary.BigEndian.Uint64(data[off+8:])
-	total := binary.BigEndian.Uint64(data[off+16:])
+	rows, cols, total := r.U64(), r.U64(), r.U64()
+	if err := r.Err(); err != nil {
+		return err
+	}
 	if rows == 0 || cols == 0 || rows > 1<<20 || cols > 1<<30 {
 		return fmt.Errorf("cms: implausible dimensions %dx%d", rows, cols)
 	}
@@ -106,21 +108,17 @@ func (sk *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) != want {
 		return fmt.Errorf("cms: data length %d, want %d for a %dx%d sketch", len(data), want, rows, cols)
 	}
-	off = header
 	params := make([][2]uint64, rows)
 	for i := range params {
-		params[i][0] = binary.BigEndian.Uint64(data[off:])
-		params[i][1] = binary.BigEndian.Uint64(data[off+8:])
-		off += 16
+		params[i] = [2]uint64{r.U64(), r.U64()}
 	}
 	fam, err := hashing.NewFamilyFromParamsMode(params, int(cols), mode)
 	if err != nil {
 		return fmt.Errorf("cms: reconstruct hash family: %w", err)
 	}
-	counts := make([]uint64, rows*cols)
-	for i := range counts {
-		counts[i] = binary.BigEndian.Uint64(data[off:])
-		off += 8
+	counts := r.U64s(int(rows * cols))
+	if err := r.End(); err != nil {
+		return err
 	}
 	sk.rows = int(rows)
 	sk.cols = int(cols)

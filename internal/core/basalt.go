@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"nodesampling/internal/cursor"
 	"nodesampling/internal/rng"
 )
 
@@ -382,19 +383,18 @@ func RestoreBasalt(c int, state []byte, r *rng.Xoshiro, opts ...Option) (*Basalt
 	if err != nil {
 		return nil, err
 	}
-	if len(state) < 4+8+8+4 {
-		return nil, errors.New("core: basalt state truncated")
+	st := cursor.New("core: basalt state", state)
+	version, family, epoch, slots := st.U32(), st.U64(), st.U64(), int(st.U32())
+	if err := st.Err(); err != nil {
+		return nil, err
 	}
-	if v := binary.BigEndian.Uint32(state); v != basaltStateVersion {
-		return nil, fmt.Errorf("core: unsupported basalt state version %d", v)
+	if version != basaltStateVersion {
+		return nil, fmt.Errorf("core: unsupported basalt state version %d", version)
 	}
-	family := binary.BigEndian.Uint64(state[4:])
-	epoch := binary.BigEndian.Uint64(state[12:])
-	slots := int(binary.BigEndian.Uint32(state[20:]))
 	if slots != c {
 		return nil, fmt.Errorf("core: basalt state has %d slots, configured capacity is %d", slots, c)
 	}
-	if len(state) != 24+slots*17 {
+	if st.Len() != slots*17 {
 		return nil, fmt.Errorf("core: basalt state length %d does not match %d slots", len(state), slots)
 	}
 	b := &BasaltSampler{
@@ -404,20 +404,20 @@ func RestoreBasalt(c int, state []byte, r *rng.Xoshiro, opts ...Option) (*Basalt
 		r:          r,
 		halveEvery: cfg.halveEvery,
 	}
-	off := 24
 	for i := range b.slots {
 		s := &b.slots[i]
-		switch state[off] {
+		switch occupied := st.U8(); occupied {
 		case 0:
 		case 1:
 			s.occupied = true
 			b.filled++
 		default:
-			return nil, fmt.Errorf("core: basalt state slot %d has invalid occupancy byte %d", i, state[off])
+			return nil, fmt.Errorf("core: basalt state slot %d has invalid occupancy byte %d", i, occupied)
 		}
-		s.id = binary.BigEndian.Uint64(state[off+1:])
-		s.hits = binary.BigEndian.Uint64(state[off+9:])
-		off += 17
+		s.id, s.hits = st.U64(), st.U64()
+	}
+	if err := st.End(); err != nil {
+		return nil, err
 	}
 	b.initSeeds()
 	return b, nil

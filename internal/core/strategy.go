@@ -166,38 +166,6 @@ func NewFactory(name string, p StrategyParams) (SamplerFactory, error) {
 	}, nil
 }
 
-// RestoreFactory resolves a factory for restoring a snapshot whose config
-// named no strategy: the blob governs, and only per-sampler options (decay,
-// eviction policy) carry over from the config. Shape parameters are not
-// needed — the marshalled state carries its own shape.
-func RestoreFactory(name string, opts ...Option) (SamplerFactory, error) {
-	return NewFactory(name, StrategyParams{Options: opts})
-}
-
-// LegacySketchFactory adapts the pre-strategy shard configuration — a sketch
-// constructor hook plus core options — to a default-strategy factory. It
-// exists so configs written against the old Config.NewSketch field keep
-// working unchanged.
-func LegacySketchFactory(newSketch func(r *rng.Xoshiro) (*cms.Sketch, error), opts ...Option) SamplerFactory {
-	return SamplerFactory{
-		Name: DefaultStrategy,
-		New: func(c int, r *rng.Xoshiro) (PoolSampler, error) {
-			sk, err := newSketch(r)
-			if err != nil {
-				return nil, err
-			}
-			return NewKnowledgeFreeWithSketch(c, sk, r, opts...)
-		},
-		Restore: func(c int, state []byte, r *rng.Xoshiro) (PoolSampler, error) {
-			sk := new(cms.Sketch)
-			if err := sk.UnmarshalBinary(state); err != nil {
-				return nil, err
-			}
-			return NewKnowledgeFreeWithSketch(c, sk, r, opts...)
-		},
-	}
-}
-
 // --- KnowledgeFree: PoolSampler surface -----------------------------------
 
 var _ PoolSampler = (*KnowledgeFree)(nil)

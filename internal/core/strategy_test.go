@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"nodesampling/internal/cms"
 	"nodesampling/internal/rng"
 )
 
@@ -124,30 +123,5 @@ func TestStrategyCrossMergeRefused(t *testing.T) {
 	}
 	if kf.SharesFamily(ba) || ba.SharesFamily(kf) {
 		t.Fatal("cross-strategy samplers must not report a shared family")
-	}
-}
-
-func TestStrategyLegacySketchFactory(t *testing.T) {
-	f := LegacySketchFactory(func(r *rng.Xoshiro) (*cms.Sketch, error) {
-		return cms.NewWithDimensions(16, 2, r)
-	})
-	if f.Name != DefaultStrategy {
-		t.Fatalf("legacy factory name = %q, want %q", f.Name, DefaultStrategy)
-	}
-	s, err := f.New(4, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ProcessBatch([]uint64{1, 2, 3, 4, 5})
-	state, err := s.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := f.Restore(4, state, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := back.Estimate(3), s.Estimate(3); got != want {
-		t.Fatalf("legacy restore Estimate(3) = %d, want %d", got, want)
 	}
 }

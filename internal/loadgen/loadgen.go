@@ -8,10 +8,11 @@
 // telemetry package exports the gauges, loadgen exercises them against a
 // running fleet and turns the scrape series into evidence.
 //
-// The generator is deliberately a pure client. It speaks the same wire
-// protocol as any other peer (so it exercises the TLS and mTLS edge too)
-// and reads only public surfaces, which keeps it honest: a report line is
-// something an operator could reproduce with curl and a stopwatch.
+// The generator is deliberately a pure client: it drives the daemon through
+// the public client package, like any other peer (so it exercises the TLS
+// and mTLS edge too), and reads only public surfaces, which keeps it honest
+// — a report line is something an operator could reproduce with curl and a
+// stopwatch.
 package loadgen
 
 import (
@@ -19,10 +20,10 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"time"
 
+	"nodesampling"
 	"nodesampling/client"
 	"nodesampling/internal/adversary"
 	"nodesampling/internal/netgossip"
@@ -56,15 +57,11 @@ type Config struct {
 	// ScrapeInterval is how often /metrics is sampled during a phase; 0
 	// means 250ms.
 	ScrapeInterval time.Duration
-	// DialTimeout bounds the connect (and TLS handshake); 0 means 10s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write; 0 means 30s.
-	WriteTimeout time.Duration
 	// LatencySample measures client-observed latency on one in N batches:
-	// the push-ack round trip (PushBatch followed by a Ping whose Pong
-	// proves the daemon's read loop consumed the batch — frames on one
-	// connection are handled in order) and a Sample RPC round trip
-	// (FrameSample → FrameSampleResp). 0 disables latency sampling; the
+	// the push-ack round trip (client.PushBatch followed by a Ping whose
+	// Pong proves the daemon's read loop consumed the batch — frames on one
+	// connection are handled in order, through the ingest funnel, before
+	// the clock stops) and a client.Sample round trip. 0 disables latency sampling; the
 	// measured batches serialise on the round trip, so a small N trades
 	// throughput for latency resolution.
 	LatencySample int
@@ -137,10 +134,9 @@ func (r Report) FinalInputKL() (float64, bool) {
 
 // Generator pushes phased id streams at a live daemon.
 type Generator struct {
-	cfg       Config
-	conn      net.Conn
-	hc        *http.Client
-	pingToken uint64
+	cfg Config
+	c   *client.Client
+	hc  *http.Client
 }
 
 // New validates cfg and dials the stream endpoint.
@@ -166,34 +162,19 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.ScrapeInterval <= 0 {
 		cfg.ScrapeInterval = 250 * time.Millisecond
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
-	d := net.Dialer{Timeout: cfg.DialTimeout}
-	var (
-		conn net.Conn
-		err  error
-	)
-	if cfg.TLS != nil {
-		conn, err = tls.DialWithDialer(&d, "tcp", cfg.Addr, cfg.TLS)
-	} else {
-		conn, err = d.Dial("tcp", cfg.Addr)
-	}
+	c, err := client.DialWithOptions(cfg.Addr, client.DialOptions{TLS: cfg.TLS})
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: dial %s: %w", cfg.Addr, err)
+		return nil, fmt.Errorf("loadgen: %w", err)
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = &http.Client{Timeout: 5 * time.Second}
 	}
-	return &Generator{cfg: cfg, conn: conn, hc: hc}, nil
+	return &Generator{cfg: cfg, c: c, hc: hc}, nil
 }
 
 // Close releases the stream connection.
-func (g *Generator) Close() error { return g.conn.Close() }
+func (g *Generator) Close() error { return g.c.Close() }
 
 // Run executes the phases in order and returns one report per completed
 // phase. A push failure or context cancellation aborts the run; the reports
@@ -247,7 +228,7 @@ func (g *Generator) runPhase(ctx context.Context, ph Phase) (Report, error) {
 	scrape()
 	nextScrape := start.Add(g.cfg.ScrapeInterval)
 
-	batch := make([]uint64, 0, g.cfg.Batch)
+	batch := make([]nodesampling.NodeID, 0, g.cfg.Batch)
 	var pushAcks, sampleRTTs []time.Duration
 	sent, batches := 0, 0
 	for sent < ph.Count {
@@ -261,23 +242,21 @@ func (g *Generator) runPhase(ctx context.Context, ph Phase) (Report, error) {
 		}
 		batch = batch[:0]
 		for i := 0; i < n; i++ {
-			batch = append(batch, ph.Source.Next())
+			batch = append(batch, nodesampling.NodeID(ph.Source.Next()))
 		}
 		batches++
-		if g.cfg.LatencySample > 0 && batches%g.cfg.LatencySample == 0 {
-			ack, err := g.pushAck(batch)
-			if err != nil {
-				rep.Duration = time.Since(start)
-				return rep, err
+		began := time.Now()
+		err := g.c.PushBatch(batch)
+		if err == nil && g.cfg.LatencySample > 0 && batches%g.cfg.LatencySample == 0 {
+			if err = g.c.Ping(); err == nil {
+				pushAcks = append(pushAcks, time.Since(began))
+				began = time.Now()
+				if _, err = g.c.Sample(1); err == nil {
+					sampleRTTs = append(sampleRTTs, time.Since(began))
+				}
 			}
-			pushAcks = append(pushAcks, ack)
-			rtt, err := g.sampleRTT(1)
-			if err != nil {
-				rep.Duration = time.Since(start)
-				return rep, err
-			}
-			sampleRTTs = append(sampleRTTs, rtt)
-		} else if err := g.push(batch); err != nil {
+		}
+		if err != nil {
 			rep.Duration = time.Since(start)
 			return rep, err
 		}
@@ -339,77 +318,6 @@ func (g *Generator) runPhase(ctx context.Context, ph Phase) (Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// push writes one PushBatch frame under the write deadline.
-func (g *Generator) push(ids []uint64) error {
-	if err := g.conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout)); err != nil {
-		return err
-	}
-	return netgossip.WriteFrame(g.conn, netgossip.Frame{Type: netgossip.FramePushBatch, IDs: ids})
-}
-
-// readFrame reads one frame under a read deadline, surfacing a FrameError
-// from the daemon as a Go error.
-func (g *Generator) readFrame() (netgossip.Frame, error) {
-	if err := g.conn.SetReadDeadline(time.Now().Add(g.cfg.WriteTimeout)); err != nil {
-		return netgossip.Frame{}, err
-	}
-	f, err := netgossip.ReadFrame(g.conn)
-	if err != nil {
-		return netgossip.Frame{}, err
-	}
-	if f.Type == netgossip.FrameError {
-		return netgossip.Frame{}, fmt.Errorf("daemon error: %s", f.Msg)
-	}
-	return f, nil
-}
-
-// pushAck pushes one batch and measures the client-observed acknowledgement
-// latency: the daemon handles a connection's frames strictly in order, so a
-// Pong answered after the batch proves the batch went through the ingest
-// funnel (uniformity probe, histogram, pool hand-off) before the clock
-// stopped. This generator never subscribes, so the only inbound traffic is
-// the responses it solicits.
-func (g *Generator) pushAck(ids []uint64) (time.Duration, error) {
-	g.pingToken++
-	began := time.Now()
-	if err := g.push(ids); err != nil {
-		return 0, err
-	}
-	if err := g.conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout)); err != nil {
-		return 0, err
-	}
-	if err := netgossip.WriteFrame(g.conn, netgossip.Frame{Type: netgossip.FramePing, Token: g.pingToken}); err != nil {
-		return 0, err
-	}
-	f, err := g.readFrame()
-	if err != nil {
-		return 0, err
-	}
-	if f.Type != netgossip.FramePong || f.Token != g.pingToken {
-		return 0, fmt.Errorf("loadgen: expected pong %d, got frame type %d token %d", g.pingToken, f.Type, f.Token)
-	}
-	return time.Since(began), nil
-}
-
-// sampleRTT measures one Sample RPC round trip over the framed protocol.
-func (g *Generator) sampleRTT(n uint32) (time.Duration, error) {
-	began := time.Now()
-	if err := g.conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout)); err != nil {
-		return 0, err
-	}
-	if err := netgossip.WriteFrame(g.conn, netgossip.Frame{Type: netgossip.FrameSample, N: n}); err != nil {
-		return 0, err
-	}
-	f, err := g.readFrame()
-	if err != nil {
-		return 0, err
-	}
-	if f.Type != netgossip.FrameSampleResp {
-		return 0, fmt.Errorf("loadgen: expected sample response, got frame type %d", f.Type)
-	}
-	return time.Since(began), nil
 }
 
 // Scrape fetches and parses the daemon's /metrics once. It is the client

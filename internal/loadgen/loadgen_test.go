@@ -363,7 +363,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("negative batch accepted")
 	}
 	// An unreachable address fails at New, not at first push.
-	if _, err := New(Config{Addr: "127.0.0.1:0", DialTimeout: time.Second}); err == nil {
+	if _, err := New(Config{Addr: "127.0.0.1:0"}); err == nil {
 		t.Fatal("dial of port 0 succeeded")
 	}
 }

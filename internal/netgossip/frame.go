@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"nodesampling/internal/cursor"
 )
 
 // The framed protocol (version 2) is the bidirectional successor of the
@@ -15,22 +17,18 @@ import (
 //
 //	magic (1) | version (1) | type (1) | payload length (uint32 BE) | payload
 //
-// with the payload length hard-bounded before any allocation, so a hostile
-// peer can neither stall a correct node nor force a large allocation —
-// exactly the discipline of the v1 batch decoder, extended to a frame
-// vocabulary. The v2 magic differs from the v1 magic so that a client
+// with the payload length hard-bounded, per frame type, before any
+// allocation (the layouts table below: MaxBatch ids and the type's fixed
+// fields at most, a MigrateState blob under its own larger bound), so a
+// hostile peer can neither stall a correct node nor force a large
+// allocation — exactly the discipline of the v1 batch decoder, extended to
+// a frame vocabulary. The v2 magic differs from the v1 magic so that a client
 // speaking the wrong protocol on a listener fails on the first byte with a
 // clear error instead of a payload-shaped surprise.
 const (
-	frameMagic   = 0x55 // 'U'; v1's batch protocol uses 0x75 ('u')
-	FrameVersion = 2
-	// MaxFramePayload bounds a single frame's payload: enough for MaxBatch
-	// 64-bit ids and nothing bigger. Frames that prefix an id batch with an
-	// 8-byte header word (Forward, SampleLocalResp) are allowed exactly
-	// those 8 bytes more; MigrateState frames carry a state blob under
-	// their own, larger bound.
-	MaxFramePayload = 8 * MaxBatch
-	frameHeaderLen  = 7
+	frameMagic     = 0x55 // 'U'; v1's batch protocol uses 0x75 ('u')
+	FrameVersion   = 2
+	frameHeaderLen = 7
 	// MaxErrorLen bounds an Error frame's message.
 	MaxErrorLen = 512
 	// MaxMigratePayload bounds a MigrateState frame's blob: per-slot-range
@@ -50,17 +48,21 @@ const (
 	// (client → daemon). Payload: 1..MaxBatch ids, 8 bytes each.
 	FramePushBatch FrameType = iota + 1
 	// FrameSubscribe asks the daemon to start streaming σ′ to this
-	// connection. Payload: requested buffer capacity (uint32 BE, ≥ 1; the
-	// server clamps it to its own bound), optionally followed by a
-	// decimation interval (uint32 BE, ≥ 1: deliver every k-th draw only),
-	// a delivery rate cap (uint32 BE, ids/second, 0 = uncapped) and a
-	// resume token (uint64 BE, from a previous FrameSubAck: the server
+	// connection. Payload, always 20 bytes: requested buffer capacity
+	// (uint32 BE, ≥ 1; the server clamps it to its own bound), decimation
+	// interval (uint32 BE, ≥ 1: deliver every k-th draw only; 1 delivers
+	// everything), delivery rate cap (uint32 BE, ids/second, 0 = uncapped)
+	// and resume token (uint64 BE, from a previous FrameSubAck: the server
 	// seeds the new subscription's decimation phase from where the old
-	// connection left off). Four canonical lengths — 4, 8, 12 and 20 bytes
-	// — each the shortest encoding of its request, so every distinct
-	// request has exactly one wire form. The 4-byte form is the protocol's
-	// original encoding and means "deliver everything"; both ends accept
-	// it, so the extensions stay compatible.
+	// connection left off; 0 = none). Every Subscribe is answered with a
+	// FrameSubAck.
+	//
+	// The protocol's earlier 4-, 8- and 12-byte Subscribe payloads are gone
+	// and FrameVersion did not move, because both mixed pairings already
+	// fail with an Error frame that names the cause: this decoder answers a
+	// short form with its payload length and the 20 it wants, and a decoder
+	// from before the change answers this encoder's zero token with "resume
+	// token must be non-zero in the resume form".
 	FrameSubscribe
 	// FrameSample requests uniform samples. Payload: count (uint32 BE, ≥ 1).
 	FrameSample
@@ -77,13 +79,9 @@ const (
 	// FrameError reports a terminal protocol or service error; the sender
 	// closes the connection after it. Payload: 1..MaxErrorLen message bytes.
 	FrameError
-	// FrameSubAck acknowledges a FrameSubscribe with the server-assigned
-	// resume token (8-byte payload, echoed back by a reconnecting client in
-	// the extended Subscribe form for decimation phase continuity). The
-	// server sends it only in answer to the 12- and 20-byte Subscribe forms:
-	// those prove the client speaks the extension, while clients on the
-	// legacy 4/8-byte forms predate the ack and would treat it as a fatal
-	// unexpected frame.
+	// FrameSubAck acknowledges every FrameSubscribe with the server-assigned
+	// resume token (8-byte payload), which a reconnecting client echoes in
+	// its next Subscribe for decimation phase continuity.
 	FrameSubAck
 	// FrameForward carries a batch of input-stream ids between cluster
 	// members: the receiving member ingests them locally and never
@@ -123,12 +121,12 @@ var (
 
 // Frame is one decoded protocol frame. Which fields are meaningful depends
 // on Type: IDs for PushBatch/SampleResp/StreamData/Forward/SampleLocalResp,
-// N for Subscribe/Sample/SampleLocal, Every and Rate for Subscribe (0 and 1
-// both mean "deliver everything"; Rate 0 means uncapped), Token for
-// Ping/Pong (the keepalive token), Subscribe/SubAck (the resume token),
-// Forward (the sender's placement epoch), SampleLocalResp (the member's
-// |Γ|) and MigrateAck/PlacementUpdate (the placement epoch), SlotFrom/
-// SlotTo/Owner for PlacementUpdate, Blob for MigrateState, Msg for Error.
+// N for Subscribe/Sample/SampleLocal, Every (≥ 1) and Rate (0 = uncapped)
+// for Subscribe, Token for Ping/Pong (the keepalive token),
+// Subscribe/SubAck (the resume token), Forward (the sender's placement
+// epoch), SampleLocalResp (the member's |Γ|) and MigrateAck/
+// PlacementUpdate (the placement epoch), SlotFrom/SlotTo/Owner for
+// PlacementUpdate, Blob for MigrateState, Msg for Error.
 type Frame struct {
 	Type     FrameType
 	IDs      []uint64
@@ -143,108 +141,188 @@ type Frame struct {
 	Msg      string
 }
 
-// AppendFrame validates f and appends its canonical encoding to buf.
-func AppendFrame(buf []byte, f Frame) ([]byte, error) {
-	var payloadLen int
+// field names one fixed-width payload field of a Frame: Token is 8 bytes on
+// the wire, the others 4.
+type field uint8
+
+const (
+	fieldN field = iota
+	fieldEvery
+	fieldRate
+	fieldSlotFrom
+	fieldSlotTo
+	fieldOwner
+	fieldToken
+)
+
+// u32 is where a 4-byte field lives in the Frame.
+func (f *Frame) u32(fd field) *uint32 {
+	switch fd {
+	case fieldN:
+		return &f.N
+	case fieldEvery:
+		return &f.Every
+	case fieldRate:
+		return &f.Rate
+	case fieldSlotFrom:
+		return &f.SlotFrom
+	case fieldSlotTo:
+		return &f.SlotTo
+	default:
+		return &f.Owner
+	}
+}
+
+// tailKind says what follows a payload's fixed fields.
+type tailKind uint8
+
+const (
+	tailNone tailKind = iota
+	tailIDs           // 8-byte ids, Frame.IDs
+	tailBlob          // opaque bytes, Frame.Blob
+	tailMsg           // message bytes, Frame.Msg
+)
+
+// layout is one frame type's payload: the fixed fields in wire order, then
+// a tail of min..max elements (ids or bytes). It is the only statement of
+// that payload — AppendFrame sizes, checks and writes from it, Read bounds
+// the length field with it before allocating anything and parses by it.
+type layout struct {
+	prefix   []field
+	tail     tailKind
+	min, max uint32
+
+	// Derived from the above at start-up: the byte length of the fixed
+	// fields, and the shift that turns a tail element count into bytes (ids
+	// are 8 bytes, everything else 1).
+	fixed uint32
+	shift uint8
+}
+
+var layouts = [...]layout{
+	FramePushBatch:       {tail: tailIDs, min: 1, max: MaxBatch},
+	FrameSubscribe:       {prefix: []field{fieldN, fieldEvery, fieldRate, fieldToken}},
+	FrameSample:          {prefix: []field{fieldN}},
+	FrameSampleResp:      {tail: tailIDs, max: MaxBatch},
+	FrameStreamData:      {tail: tailIDs, min: 1, max: MaxBatch},
+	FramePing:            {prefix: []field{fieldToken}},
+	FramePong:            {prefix: []field{fieldToken}},
+	FrameError:           {tail: tailMsg, min: 1, max: MaxErrorLen},
+	FrameSubAck:          {prefix: []field{fieldToken}},
+	FrameForward:         {prefix: []field{fieldToken}, tail: tailIDs, min: 1, max: MaxBatch},
+	FrameSampleLocal:     {prefix: []field{fieldN}},
+	FrameSampleLocalResp: {prefix: []field{fieldToken}, tail: tailIDs, max: MaxBatch},
+	FrameMigrateState:    {tail: tailBlob, min: 1, max: MaxMigratePayload},
+	FrameMigrateAck:      {prefix: []field{fieldToken}},
+	FramePlacementUpdate: {prefix: []field{fieldToken, fieldSlotFrom, fieldSlotTo, fieldOwner}},
+}
+
+func init() {
+	for i := range layouts {
+		l := &layouts[i]
+		for _, fd := range l.prefix {
+			l.fixed += 4
+			if fd == fieldToken {
+				l.fixed += 4
+			}
+		}
+		if l.tail == tailIDs {
+			l.shift = 3
+		}
+	}
+}
+
+func layoutOf(t FrameType) (*layout, error) {
+	if t < FramePushBatch || int(t) >= len(layouts) {
+		return nil, fmt.Errorf("netgossip: unknown frame type %d", t)
+	}
+	return &layouts[t], nil
+}
+
+// tailCount checks a payload length against the layout and returns how many
+// tail elements it holds. Both directions go through it: the encoder with
+// the length it is about to write, the decoder with the length field of a
+// header, before any payload byte is read or buffer grown.
+func (l *layout) tailCount(t FrameType, n uint64) (int, error) {
+	rest := n - uint64(l.fixed)
+	count := rest >> l.shift
+	if n < uint64(l.fixed) || count<<l.shift != rest || count < uint64(l.min) || count > uint64(l.max) {
+		return 0, l.lengthError(t, n)
+	}
+	return int(count), nil
+}
+
+func (l *layout) lengthError(t FrameType, n uint64) error {
+	limit := uint64(l.fixed) + uint64(l.max)<<l.shift
+	switch {
+	case l.max == 0:
+		return fmt.Errorf("netgossip: frame type %d payload length %d, want %d", t, n, l.fixed)
+	case n > limit:
+		return fmt.Errorf("%w: frame type %d payload length %d, at most %d", ErrFrameTooLarge, t, n, limit)
+	}
+	return fmt.Errorf("netgossip: frame type %d payload length %d, want %d + %d × [%d, %d]", t, n, l.fixed, 1<<l.shift, l.min, l.max)
+}
+
+// validate holds the checks on fixed fields, which the layout cannot
+// express, for both directions.
+func (f *Frame) validate() error {
 	switch f.Type {
-	case FramePushBatch, FrameStreamData:
-		if len(f.IDs) == 0 {
-			return nil, fmt.Errorf("netgossip: empty id payload for frame type %d", f.Type)
+	case FrameSubscribe:
+		if f.Every < 1 {
+			return errors.New("netgossip: subscribe decimation interval must be ≥ 1")
 		}
 		fallthrough
-	case FrameSampleResp:
-		if len(f.IDs) > MaxBatch {
-			return nil, ErrBatchTooLarge
-		}
-		payloadLen = 8 * len(f.IDs)
-	case FrameSubscribe, FrameSample, FrameSampleLocal:
+	case FrameSample, FrameSampleLocal:
 		if f.N < 1 {
-			return nil, fmt.Errorf("netgossip: frame type %d requires N ≥ 1", f.Type)
+			return fmt.Errorf("netgossip: frame type %d requires N ≥ 1", f.Type)
 		}
-		payloadLen = 4
-		if f.Type == FrameSubscribe {
-			// Each extension rides the shortest payload that can carry it;
-			// the plain 4-byte form stays on the wire for every-draw
-			// uncapped subscriptions, so old peers keep decoding it.
-			switch {
-			case f.Token != 0:
-				payloadLen = 20
-			case f.Rate > 0:
-				payloadLen = 12
-			case f.Every > 1:
-				payloadLen = 8
-			}
-		}
-	case FramePing, FramePong, FrameSubAck, FrameMigrateAck:
-		payloadLen = 8
-	case FrameForward:
-		if len(f.IDs) == 0 {
-			return nil, fmt.Errorf("netgossip: empty id payload for frame type %d", f.Type)
-		}
-		if len(f.IDs) > MaxBatch {
-			return nil, ErrBatchTooLarge
-		}
-		payloadLen = 8 + 8*len(f.IDs)
-	case FrameSampleLocalResp:
-		if len(f.IDs) > MaxBatch {
-			return nil, ErrBatchTooLarge
-		}
-		payloadLen = 8 + 8*len(f.IDs)
-	case FrameMigrateState:
-		if len(f.Blob) == 0 || len(f.Blob) > MaxMigratePayload {
-			return nil, fmt.Errorf("netgossip: migrate state blob length %d outside [1, %d]", len(f.Blob), MaxMigratePayload)
-		}
-		payloadLen = len(f.Blob)
 	case FramePlacementUpdate:
 		if f.SlotFrom > f.SlotTo {
-			return nil, fmt.Errorf("netgossip: placement update slot range [%d, %d] inverted", f.SlotFrom, f.SlotTo)
+			return fmt.Errorf("netgossip: placement update slot range [%d, %d] inverted", f.SlotFrom, f.SlotTo)
 		}
-		payloadLen = 20
-	case FrameError:
-		if len(f.Msg) == 0 || len(f.Msg) > MaxErrorLen {
-			return nil, fmt.Errorf("netgossip: error message length %d outside [1, %d]", len(f.Msg), MaxErrorLen)
-		}
-		payloadLen = len(f.Msg)
-	default:
-		return nil, fmt.Errorf("netgossip: unknown frame type %d", f.Type)
+	}
+	return nil
+}
+
+// AppendFrame validates f and appends its encoding to buf.
+func AppendFrame(buf []byte, f Frame) ([]byte, error) {
+	l, err := layoutOf(f.Type)
+	if err != nil {
+		return nil, err
+	}
+	tail := len(f.IDs)
+	switch l.tail {
+	case tailNone:
+		tail = 0
+	case tailBlob:
+		tail = len(f.Blob)
+	case tailMsg:
+		tail = len(f.Msg)
+	}
+	n := uint64(l.fixed) + uint64(tail)<<l.shift
+	if _, err := l.tailCount(f.Type, n); err != nil {
+		return nil, err
+	}
+	if err := f.validate(); err != nil {
+		return nil, err
 	}
 	buf = append(buf, frameMagic, FrameVersion, byte(f.Type))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(payloadLen))
-	switch f.Type {
-	case FramePushBatch, FrameStreamData, FrameSampleResp:
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	for _, fd := range l.prefix {
+		if fd == fieldToken {
+			buf = binary.BigEndian.AppendUint64(buf, f.Token)
+		} else {
+			buf = binary.BigEndian.AppendUint32(buf, *f.u32(fd))
+		}
+	}
+	switch l.tail {
+	case tailIDs:
 		for _, id := range f.IDs {
 			buf = binary.BigEndian.AppendUint64(buf, id)
 		}
-	case FrameSubscribe, FrameSample, FrameSampleLocal:
-		buf = binary.BigEndian.AppendUint32(buf, f.N)
-		if f.Type == FrameSubscribe && payloadLen > 4 {
-			every := f.Every
-			if every < 1 {
-				every = 1
-			}
-			buf = binary.BigEndian.AppendUint32(buf, every)
-			if payloadLen > 8 {
-				buf = binary.BigEndian.AppendUint32(buf, f.Rate)
-			}
-			if payloadLen > 12 {
-				buf = binary.BigEndian.AppendUint64(buf, f.Token)
-			}
-		}
-	case FramePing, FramePong, FrameSubAck, FrameMigrateAck:
-		buf = binary.BigEndian.AppendUint64(buf, f.Token)
-	case FrameForward, FrameSampleLocalResp:
-		buf = binary.BigEndian.AppendUint64(buf, f.Token)
-		for _, id := range f.IDs {
-			buf = binary.BigEndian.AppendUint64(buf, id)
-		}
-	case FrameMigrateState:
+	case tailBlob:
 		buf = append(buf, f.Blob...)
-	case FramePlacementUpdate:
-		buf = binary.BigEndian.AppendUint64(buf, f.Token)
-		buf = binary.BigEndian.AppendUint32(buf, f.SlotFrom)
-		buf = binary.BigEndian.AppendUint32(buf, f.SlotTo)
-		buf = binary.BigEndian.AppendUint32(buf, f.Owner)
-	case FrameError:
+	case tailMsg:
 		buf = append(buf, f.Msg...)
 	}
 	return buf, nil
@@ -254,7 +332,7 @@ func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 // reaches the wire in a single Write (interleaving-safe under a caller's
 // write lock).
 func WriteFrame(w io.Writer, f Frame) error {
-	buf, err := AppendFrame(make([]byte, 0, frameHeaderLen+8+8*len(f.IDs)+len(f.Blob)), f)
+	buf, err := AppendFrame(make([]byte, 0, frameHeaderLen+20+8*len(f.IDs)+len(f.Blob)+len(f.Msg)), f)
 	if err != nil {
 		return err
 	}
@@ -304,9 +382,9 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Read reads and validates one frame, exactly like ReadFrame except that
-// the returned Frame's IDs alias the reader's internal buffer and are
-// overwritten by the next Read.
-func (fr *FrameReader) Read() (Frame, error) {
+// the returned Frame's IDs and Blob alias the reader's internal buffers and
+// are overwritten by the next Read.
+func (fr *FrameReader) Read() (f Frame, err error) {
 	r, h := fr.r, fr.hdr[:]
 	if _, err := io.ReadFull(r, h); err != nil {
 		return Frame{}, err
@@ -320,66 +398,17 @@ func (fr *FrameReader) Read() (Frame, error) {
 	if h[1] != FrameVersion {
 		return Frame{}, fmt.Errorf("netgossip: unsupported frame version %d", h[1])
 	}
-	t := FrameType(h[2])
+	f.Type = FrameType(h[2])
+	l, err := layoutOf(f.Type)
+	if err != nil {
+		return Frame{}, err
+	}
 	n := binary.BigEndian.Uint32(h[3:7])
-	// The generic payload bound is checked before the type is even
-	// validated so no frame type can demand a large allocation; the two
-	// headered-batch types get exactly their 8-byte prefix more, and
-	// MigrateState its own documented bound.
-	limit := uint32(MaxFramePayload)
-	switch t {
-	case FrameForward, FrameSampleLocalResp:
-		limit = MaxFramePayload + 8
-	case FrameMigrateState:
-		limit = MaxMigratePayload
-	}
-	if n > limit {
-		return Frame{}, ErrFrameTooLarge
-	}
-	switch t {
-	case FramePushBatch, FrameStreamData:
-		if n == 0 {
-			return Frame{}, fmt.Errorf("netgossip: empty id payload for frame type %d", t)
-		}
-		fallthrough
-	case FrameSampleResp:
-		if n%8 != 0 {
-			return Frame{}, fmt.Errorf("netgossip: id payload length %d not a multiple of 8", n)
-		}
-	case FrameSubscribe:
-		if n != 4 && n != 8 && n != 12 && n != 20 {
-			return Frame{}, fmt.Errorf("netgossip: subscribe payload length %d, want 4, 8, 12 or 20", n)
-		}
-	case FrameSample, FrameSampleLocal:
-		if n != 4 {
-			return Frame{}, fmt.Errorf("netgossip: frame type %d payload length %d, want 4", t, n)
-		}
-	case FramePing, FramePong, FrameSubAck, FrameMigrateAck:
-		if n != 8 {
-			return Frame{}, fmt.Errorf("netgossip: frame type %d payload length %d, want 8", t, n)
-		}
-	case FrameForward:
-		if n < 16 || (n-8)%8 != 0 {
-			return Frame{}, fmt.Errorf("netgossip: forward payload length %d, want 8 + a non-empty multiple of 8", n)
-		}
-	case FrameSampleLocalResp:
-		if n < 8 || (n-8)%8 != 0 {
-			return Frame{}, fmt.Errorf("netgossip: sample-local response payload length %d, want 8 + a multiple of 8", n)
-		}
-	case FrameMigrateState:
-		if n == 0 {
-			return Frame{}, errors.New("netgossip: empty migrate state blob")
-		}
-	case FramePlacementUpdate:
-		if n != 20 {
-			return Frame{}, fmt.Errorf("netgossip: placement update payload length %d, want 20", n)
-		}
-	case FrameError:
-		if n == 0 || n > MaxErrorLen {
-			return Frame{}, fmt.Errorf("netgossip: error message length %d outside [1, %d]", n, MaxErrorLen)
-		}
-	default:
-		return Frame{}, fmt.Errorf("netgossip: unknown frame type %d", t)
+	// The layout bounds the length field before the payload buffer grows: no
+	// frame type can demand more than its own maximum.
+	count, err := l.tailCount(f.Type, uint64(n))
+	if err != nil {
+		return Frame{}, err
 	}
 	if uint32(cap(fr.payload)) < n {
 		fr.payload = make([]byte, n)
@@ -388,73 +417,37 @@ func (fr *FrameReader) Read() (Frame, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, fmt.Errorf("netgossip: short frame payload: %w", err)
 	}
-	f := Frame{Type: t}
-	switch t {
-	case FramePushBatch, FrameStreamData, FrameSampleResp:
-		if uint32(cap(fr.ids)) < n/8 {
-			fr.ids = make([]uint64, n/8)
+	rest := payload
+	if len(l.prefix) > 0 {
+		c := cursor.New("netgossip: frame payload", payload)
+		for _, fd := range l.prefix {
+			if fd == fieldToken {
+				f.Token = c.U64()
+			} else {
+				*f.u32(fd) = c.U32()
+			}
 		}
-		f.IDs = fr.ids[:n/8]
+		rest = c.Bytes(c.Len())
+		if err := c.Err(); err != nil {
+			return Frame{}, err
+		}
+		if err := f.validate(); err != nil {
+			return Frame{}, err
+		}
+	}
+	switch l.tail {
+	case tailIDs:
+		if cap(fr.ids) < count {
+			fr.ids = make([]uint64, count)
+		}
+		f.IDs = fr.ids[:count]
 		for i := range f.IDs {
-			f.IDs[i] = binary.BigEndian.Uint64(payload[8*i:])
+			f.IDs[i] = binary.BigEndian.Uint64(rest[8*i:])
 		}
-	case FrameForward, FrameSampleLocalResp:
-		f.Token = binary.BigEndian.Uint64(payload)
-		nids := (n - 8) / 8
-		if uint32(cap(fr.ids)) < nids {
-			fr.ids = make([]uint64, nids)
-		}
-		f.IDs = fr.ids[:nids]
-		for i := range f.IDs {
-			f.IDs[i] = binary.BigEndian.Uint64(payload[8+8*i:])
-		}
-	case FrameSubscribe, FrameSample, FrameSampleLocal:
-		f.N = binary.BigEndian.Uint32(payload)
-		if f.N < 1 {
-			return Frame{}, fmt.Errorf("netgossip: frame type %d requires N ≥ 1", t)
-		}
-		f.Every = 1
-		if len(payload) >= 8 {
-			f.Every = binary.BigEndian.Uint32(payload[4:])
-			if len(payload) == 8 && f.Every < 2 {
-				// Each extended payload exists only to carry information the
-				// shorter forms cannot; every distinct request has exactly one
-				// wire form, so every frame re-encodes to the bytes it
-				// arrived as (the fuzz harness pins this).
-				return Frame{}, errors.New("netgossip: subscribe decimation interval must be ≥ 2 in the extended form")
-			}
-			if f.Every < 1 {
-				return Frame{}, errors.New("netgossip: subscribe decimation interval must be ≥ 1")
-			}
-		}
-		if len(payload) >= 12 {
-			f.Rate = binary.BigEndian.Uint32(payload[8:])
-			if len(payload) == 12 && f.Rate < 1 {
-				return Frame{}, errors.New("netgossip: subscribe rate cap must be ≥ 1 in the rate form")
-			}
-		}
-		if len(payload) == 20 {
-			f.Token = binary.BigEndian.Uint64(payload[12:])
-			if f.Token == 0 {
-				return Frame{}, errors.New("netgossip: subscribe resume token must be non-zero in the resume form")
-			}
-		}
-	case FramePing, FramePong, FrameSubAck, FrameMigrateAck:
-		f.Token = binary.BigEndian.Uint64(payload)
-	case FrameMigrateState:
-		// The blob aliases the reader's payload buffer, like IDs: valid
-		// only until the next Read.
-		f.Blob = payload
-	case FramePlacementUpdate:
-		f.Token = binary.BigEndian.Uint64(payload)
-		f.SlotFrom = binary.BigEndian.Uint32(payload[8:])
-		f.SlotTo = binary.BigEndian.Uint32(payload[12:])
-		f.Owner = binary.BigEndian.Uint32(payload[16:])
-		if f.SlotFrom > f.SlotTo {
-			return Frame{}, fmt.Errorf("netgossip: placement update slot range [%d, %d] inverted", f.SlotFrom, f.SlotTo)
-		}
-	case FrameError:
-		f.Msg = string(payload)
+	case tailBlob:
+		f.Blob = rest
+	case tailMsg:
+		f.Msg = string(rest)
 	}
 	return f, nil
 }

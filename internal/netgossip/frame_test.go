@@ -32,7 +32,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameStreamData, IDs: []uint64{42}},
 		{Type: FrameSampleResp, IDs: nil}, // empty pool answer
 		{Type: FrameSampleResp, IDs: []uint64{7, 8}},
-		{Type: FrameSubscribe, N: 256},
+		{Type: FrameSubscribe, N: 256, Every: 1},
 		{Type: FrameSubscribe, N: 256, Every: 16},
 		{Type: FrameSample, N: 10},
 		{Type: FramePing, Token: 0xdeadbeef},
@@ -55,50 +55,49 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameSubscribeDecimation pins the compatible extension: the every-
-// draw form keeps the original 4-byte payload, the decimated form rides 8
-// bytes, and both decode to an explicit interval (0 → 1 on the legacy
-// form; an explicit 0 in the extended form is rejected).
+// TestFrameSubscribeDecimation pins the one Subscribe wire form: whatever
+// the request — plain, decimated, rate-capped, resuming — the payload is 20
+// bytes and decodes to the fields it was built from; the protocol's earlier
+// 4-, 8- and 12-byte payloads (and every other length) are refused, and an
+// interval of 0 is refused in both directions.
 func TestFrameSubscribeDecimation(t *testing.T) {
-	plain, err := AppendFrame(nil, Frame{Type: FrameSubscribe, N: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != frameHeaderLen+4 {
-		t.Fatalf("plain subscribe payload %d bytes, want 4", len(plain)-frameHeaderLen)
-	}
-	got := roundTrip(t, Frame{Type: FrameSubscribe, N: 64})
-	if got.Every != 1 {
-		t.Fatalf("legacy subscribe decoded Every=%d, want 1", got.Every)
-	}
-	ext, err := AppendFrame(nil, Frame{Type: FrameSubscribe, N: 64, Every: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ext) != frameHeaderLen+8 {
-		t.Fatalf("decimated subscribe payload %d bytes, want 8", len(ext)-frameHeaderLen)
-	}
-	got = roundTrip(t, Frame{Type: FrameSubscribe, N: 64, Every: 10})
-	if got.N != 64 || got.Every != 10 {
-		t.Fatalf("decimated subscribe decoded as N=%d Every=%d", got.N, got.Every)
-	}
-	// Every == 1 also stays on the 4-byte wire form.
-	one, err := AppendFrame(nil, Frame{Type: FrameSubscribe, N: 64, Every: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != frameHeaderLen+4 {
-		t.Fatalf("every=1 subscribe payload %d bytes, want 4", len(one)-frameHeaderLen)
-	}
-	// Hand-crafted extended payloads with every=0 or every=1 must be
-	// rejected: "deliver everything" has exactly one (4-byte) encoding, so
-	// the decoder stays canonical.
-	for _, every := range []byte{0, 1} {
-		bad := append([]byte(nil), ext...)
-		copy(bad[frameHeaderLen+4:], []byte{0, 0, 0, every})
-		if _, err := ReadFrame(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("non-canonical extended every=%d should be rejected", every)
+	var wire []byte
+	for _, f := range []Frame{
+		{Type: FrameSubscribe, N: 64, Every: 1},
+		{Type: FrameSubscribe, N: 64, Every: 10},
+		{Type: FrameSubscribe, N: 64, Every: 1, Rate: 100},
+		{Type: FrameSubscribe, N: 64, Every: 4, Rate: 5, Token: 9},
+	} {
+		buf, err := AppendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(buf) != frameHeaderLen+20 {
+			t.Fatalf("%+v encoded a %d-byte payload, want 20", f, len(buf)-frameHeaderLen)
+		}
+		if got := roundTrip(t, f); !reflect.DeepEqual(got, f) {
+			t.Fatalf("round trip %+v -> %+v", f, got)
+		}
+		wire = buf
+	}
+	for n := 0; n <= 32; n++ {
+		if n == 20 {
+			continue
+		}
+		bad := append([]byte{frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, byte(n)}, wire[frameHeaderLen:]...)
+		bad = append(bad, make([]byte, 12)...)
+		_, err := ReadFrame(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "want 20") {
+			t.Fatalf("subscribe payload length %d: error %v, want one naming the 20-byte form", n, err)
+		}
+	}
+	zero := append([]byte(nil), wire...)
+	copy(zero[frameHeaderLen+4:], []byte{0, 0, 0, 0})
+	if _, err := ReadFrame(bytes.NewReader(zero)); err == nil {
+		t.Fatal("decoded a subscribe with interval 0")
+	}
+	if _, err := AppendFrame(nil, Frame{Type: FrameSubscribe, N: 64}); err == nil {
+		t.Fatal("encoded a subscribe with interval 0")
 	}
 }
 
@@ -132,10 +131,11 @@ func TestFrameDecodeRejects(t *testing.T) {
 		"empty push":          mk(frameMagic, FrameVersion, byte(FramePushBatch), 0, 0, 0, 0),
 		"ragged ids":          mk(frameMagic, FrameVersion, byte(FramePushBatch), 0, 0, 0, 9),
 		"subscribe wrong len": mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 8),
-		"subscribe zero":      append(mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 4), 0, 0, 0, 0),
-		"ping wrong len":      mk(frameMagic, FrameVersion, byte(FramePing), 0, 0, 0, 4),
-		"error empty":         mk(frameMagic, FrameVersion, byte(FrameError), 0, 0, 0, 0),
-		"truncated payload":   append(mk(frameMagic, FrameVersion, byte(FramePing), 0, 0, 0, 8), 1, 2),
+		"subscribe zero": append(mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 20),
+			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"ping wrong len":    mk(frameMagic, FrameVersion, byte(FramePing), 0, 0, 0, 4),
+		"error empty":       mk(frameMagic, FrameVersion, byte(FrameError), 0, 0, 0, 0),
+		"truncated payload": append(mk(frameMagic, FrameVersion, byte(FramePing), 0, 0, 0, 8), 1, 2),
 	}
 	for name, data := range cases {
 		if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
@@ -155,7 +155,7 @@ func TestFrameDecodeRejects(t *testing.T) {
 }
 
 // TestFrameClusterRoundTrip covers the cluster vocabulary end to end:
-// every member-to-member frame type and every extended Subscribe form must
+// every member-to-member frame type and a Subscribe using each field must
 // survive an encode/decode cycle with all fields intact.
 func TestFrameClusterRoundTrip(t *testing.T) {
 	frames := []Frame{
@@ -168,19 +168,12 @@ func TestFrameClusterRoundTrip(t *testing.T) {
 		{Type: FrameMigrateAck, Token: 6},
 		{Type: FramePlacementUpdate, Token: 4, SlotFrom: 10, SlotTo: 20, Owner: 2},
 		{Type: FramePlacementUpdate, Token: 1, SlotFrom: 5, SlotTo: 5, Owner: 0}, // single slot
-		{Type: FrameSubscribe, N: 64, Rate: 100},                                 // rate form, every defaulted
+		{Type: FrameSubscribe, N: 64, Every: 1, Rate: 100},
 		{Type: FrameSubscribe, N: 64, Every: 3, Rate: 7},
-		{Type: FrameSubscribe, N: 64, Every: 1, Token: 77}, // resume form
+		{Type: FrameSubscribe, N: 64, Every: 1, Token: 77},
 	}
 	for _, f := range frames {
-		got := roundTrip(t, f)
-		want := f
-		switch want.Type {
-		case FrameSubscribe, FrameSample, FrameSampleLocal:
-			if want.Every < 1 {
-				want.Every = 1 // decoder normalises "deliver everything"
-			}
-		}
+		got, want := roundTrip(t, f), f
 		if got.Type != want.Type || got.N != want.N || got.Every != want.Every ||
 			got.Rate != want.Rate || got.Token != want.Token ||
 			got.SlotFrom != want.SlotFrom || got.SlotTo != want.SlotTo ||
@@ -194,25 +187,6 @@ func TestFrameClusterRoundTrip(t *testing.T) {
 			if got.IDs[i] != f.IDs[i] {
 				t.Fatalf("round trip %+v -> %+v", f, got)
 			}
-		}
-	}
-	// Each Subscribe extension rides its canonical payload length: a rate
-	// cap forces the 12-byte form, a resume token the 20-byte form.
-	for _, c := range []struct {
-		f    Frame
-		want int
-	}{
-		{Frame{Type: FrameSubscribe, N: 1, Rate: 5}, 12},
-		{Frame{Type: FrameSubscribe, N: 1, Every: 4, Rate: 5}, 12},
-		{Frame{Type: FrameSubscribe, N: 1, Token: 9}, 20},
-		{Frame{Type: FrameSubscribe, N: 1, Every: 4, Rate: 5, Token: 9}, 20},
-	} {
-		buf, err := AppendFrame(nil, c.f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(buf) - frameHeaderLen; got != c.want {
-			t.Fatalf("%+v encoded a %d-byte payload, want %d", c.f, got, c.want)
 		}
 	}
 }
@@ -238,7 +212,7 @@ func TestFrameClusterEncodeRejects(t *testing.T) {
 
 // TestFrameClusterDecodeRejects throws malformed cluster-frame headers and
 // payloads at the decoder: wrong fixed lengths, ragged id payloads, empty
-// blobs, non-canonical subscribe extensions, inverted placement ranges.
+// blobs, retired subscribe forms, inverted placement ranges.
 func TestFrameClusterDecodeRejects(t *testing.T) {
 	mk := func(b ...byte) []byte { return b }
 	cases := map[string][]byte{
@@ -257,10 +231,12 @@ func TestFrameClusterDecodeRejects(t *testing.T) {
 			0, 0, 0, 9, // fromSlot 9
 			0, 0, 0, 8, // toSlot 8
 			0, 0, 0, 0), // owner 0
-		"subscribe rate zero": append(mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 12),
-			0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0),
-		"subscribe token zero": append(mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 20),
-			0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+		"subscribe 4-byte form": append(mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 4),
+			0, 0, 0, 1),
+		"subscribe 12-byte form": append(mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 12),
+			0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 5),
+		"subscribe every zero": append(mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 20),
+			0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
 		"subscribe odd len": mk(frameMagic, FrameVersion, byte(FrameSubscribe), 0, 0, 0, 16),
 	}
 	for name, data := range cases {
@@ -285,7 +261,7 @@ func TestFrameClusterDecodeRejects(t *testing.T) {
 func TestFrameStreamSequence(t *testing.T) {
 	var buf bytes.Buffer
 	seq := []Frame{
-		{Type: FrameSubscribe, N: 8},
+		{Type: FrameSubscribe, N: 8, Every: 1},
 		{Type: FramePushBatch, IDs: []uint64{5, 6}},
 		{Type: FrameStreamData, IDs: []uint64{5}},
 		{Type: FramePing, Token: 3},
@@ -312,7 +288,7 @@ func TestFrameStreamSequence(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	seedFrames := []Frame{
 		{Type: FramePushBatch, IDs: []uint64{1, 2, 3}},
-		{Type: FrameSubscribe, N: 64},
+		{Type: FrameSubscribe, N: 64, Every: 1},
 		{Type: FrameSample, N: 5},
 		{Type: FrameSampleResp, IDs: nil},
 		{Type: FrameStreamData, IDs: []uint64{1 << 62}},
@@ -326,7 +302,7 @@ func FuzzReadFrame(f *testing.F) {
 		{Type: FrameMigrateState, Blob: []byte{1, 2, 3}},
 		{Type: FrameMigrateAck, Token: 11},
 		{Type: FramePlacementUpdate, Token: 1, SlotFrom: 0, SlotTo: 63, Owner: 1},
-		{Type: FrameSubscribe, N: 16, Rate: 50},
+		{Type: FrameSubscribe, N: 16, Every: 1, Rate: 50},
 		{Type: FrameSubscribe, N: 16, Every: 2, Token: 5},
 	}
 	for _, fr := range seedFrames {

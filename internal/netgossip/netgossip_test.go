@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"nodesampling/internal/cms"
-	"nodesampling/internal/rng"
+	"nodesampling/internal/core"
 	"nodesampling/internal/shard"
 )
 
@@ -220,15 +219,17 @@ func TestInjectFloodIsAbsorbed(t *testing.T) {
 // must land in the pool instead of a peer-local sampler, and Sample/Memory
 // must answer through the sink.
 func TestPeerFeedsSink(t *testing.T) {
+	sampler, err := core.NewFactory(core.DefaultStrategy, core.StrategyParams{K: 8, S: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool, err := shard.New(shard.Config{
 		Shards:   4,
 		Buffer:   16,
 		Block:    true,
 		Seed:     5,
 		Capacity: 10,
-		NewSketch: func(r *rng.Xoshiro) (*cms.Sketch, error) {
-			return cms.NewWithDimensions(8, 4, r)
-		},
+		Sampler:  sampler,
 	})
 	if err != nil {
 		t.Fatal(err)

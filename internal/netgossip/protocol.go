@@ -17,8 +17,6 @@
 // before the connection drops.
 package netgossip
 
-import "errors"
-
 // legacyMagic is the retired v1 batch protocol's magic byte ('u' for
 // uniform). The framed decoder recognises it only to refuse it loudly:
 // one byte is enough to tell a stale client from line noise.
@@ -28,6 +26,3 @@ const legacyMagic = 0x75
 // Bounding per-message work means a flood still has to arrive as many
 // frames, which the reader paces one at a time.
 const MaxBatch = 4096
-
-// ErrBatchTooLarge is returned when a peer announces a batch above MaxBatch.
-var ErrBatchTooLarge = errors.New("netgossip: batch exceeds protocol limit")

@@ -151,7 +151,9 @@ func (p *Pool) ImportState(ids []uint64, state []byte) error {
 	if p.closed {
 		return ErrPoolClosed
 	}
-	factory, err := core.RestoreFactory(p.strategy, p.cfg.CoreOptions...)
+	// The incoming sampler only lends its state to the merge below, and
+	// the marshalled state carries its own shape: no parameters to bind.
+	factory, err := core.NewFactory(p.strategy, core.StrategyParams{})
 	if err != nil {
 		return fmt.Errorf("shard: import state: %w", err)
 	}

@@ -326,7 +326,7 @@ func TestResizeRoutingMovesMinimally(t *testing.T) {
 func TestResizeWithDecayAlignsEpochs(t *testing.T) {
 	p, err := New(Config{
 		Shards: 3, Buffer: 8, Block: true, Seed: 5,
-		Capacity: 10, NewSketch: sketchMaker(16, 4), DecayEvery: 500,
+		Capacity: 10, Sampler: kfSampler(16, 4), DecayEvery: 500,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func TestResizeRaces(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		p, err := New(Config{
 			Shards: 4, Buffer: 4, Block: false, Seed: uint64(round) + 77,
-			Capacity: 10, NewSketch: sketchMaker(10, 4),
+			Capacity: 10, Sampler: kfSampler(10, 4),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nodesampling/internal/cms"
 	"nodesampling/internal/core"
 	"nodesampling/internal/rng"
 	"nodesampling/internal/spans"
@@ -96,21 +95,12 @@ type Config struct {
 	// sampler is built per pool and every shard receives an empty clone of
 	// it, so all shards share one hash/seed family and their state stays
 	// mergeable — the property the Resize hand-off and the snapshot format
-	// rely on. Optional for Restore when the blob should govern the
-	// strategy; required by New unless NewSketch is set.
+	// rely on. Required by New. Optional for Restore: when unset the blob
+	// governs the strategy; when set it must name the blob's strategy and
+	// its state shape must match the snapshot's. Per-sampler options
+	// (eviction policy, conservative update) ride inside the factory's
+	// bound core.StrategyParams; Snapshot does not persist them.
 	Sampler core.SamplerFactory
-	// NewSketch is the pre-strategy way to configure the pool: a sketch
-	// constructor hook implying the default knowledge-free strategy. Used
-	// only when Sampler is unset. Optional for Restore (the snapshot
-	// carries the sampler state); when provided there, it only validates
-	// that the configured shape matches the snapshot.
-	NewSketch func(r *rng.Xoshiro) (*cms.Sketch, error)
-	// CoreOptions are applied to every shard sampler built via NewSketch
-	// or a blob-governed Restore (eviction policy, conservative update).
-	// Not persisted by Snapshot: Restore callers must pass the same
-	// options again. Configs using Sampler carry options inside the
-	// factory's bound StrategyParams instead.
-	CoreOptions []core.Option
 	// EmitBuffer is the capacity of the pool-level output channel, in draw
 	// batches (default 4 per shard). It bounds how far σ′ generation may run
 	// ahead of the subscription hub; overflow drops whole draw batches
@@ -155,24 +145,10 @@ func (c Config) validate() error {
 	if c.Capacity < 1 {
 		return fmt.Errorf("shard: memory capacity must be at least 1, got %d", c.Capacity)
 	}
-	if _, ok := c.samplerFactory(); !ok {
-		return errors.New("shard: no sampler strategy configured (set Sampler or NewSketch)")
+	if c.Sampler.New == nil {
+		return errors.New("shard: no sampler strategy configured (set Sampler)")
 	}
 	return nil
-}
-
-// samplerFactory resolves the configured strategy factory: an explicit
-// Sampler field wins, a NewSketch hook adapts to the default strategy, and
-// ok=false means the config names no strategy at all — New rejects that,
-// while Restore lets the snapshot govern.
-func (c Config) samplerFactory() (core.SamplerFactory, bool) {
-	if c.Sampler.New != nil {
-		return c.Sampler, true
-	}
-	if c.NewSketch != nil {
-		return core.LegacySketchFactory(c.NewSketch, c.CoreOptions...), true
-	}
-	return core.SamplerFactory{}, false
 }
 
 // The partition's shard map is a Placement (placement.go) with one
@@ -497,7 +473,7 @@ func New(cfg Config) (*Pool, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	factory, _ := cfg.samplerFactory() // validate() guarantees ok
+	factory := cfg.Sampler
 	root := rng.New(cfg.Seed)
 	template, err := factory.New(cfg.Capacity, root.Split())
 	if err != nil {

@@ -6,26 +6,29 @@ import (
 	"testing"
 	"time"
 
-	"nodesampling/internal/cms"
+	"nodesampling/internal/core"
 	"nodesampling/internal/metrics"
 	"nodesampling/internal/rng"
 )
 
-// sketchMaker returns a NewSketch hook for a k×s sketch.
-func sketchMaker(k, s int) func(r *rng.Xoshiro) (*cms.Sketch, error) {
-	return func(r *rng.Xoshiro) (*cms.Sketch, error) {
-		return cms.NewWithDimensions(k, s, r)
+// kfSampler returns the default (knowledge-free) strategy's factory for a
+// k×s sketch, resolved through the registry like every production pool's.
+func kfSampler(k, s int) core.SamplerFactory {
+	f, err := core.NewFactory(core.DefaultStrategy, core.StrategyParams{K: k, S: s})
+	if err != nil {
+		panic(err)
 	}
+	return f
 }
 
 func testConfig(shards, c, k, s int, block bool, buffer int) Config {
 	return Config{
-		Shards:    shards,
-		Buffer:    buffer,
-		Block:     block,
-		Seed:      uint64(shards)*1000 + 7,
-		Capacity:  c,
-		NewSketch: sketchMaker(k, s),
+		Shards:   shards,
+		Buffer:   buffer,
+		Block:    block,
+		Seed:     uint64(shards)*1000 + 7,
+		Capacity: c,
+		Sampler:  kfSampler(k, s),
 	}
 }
 
@@ -40,12 +43,12 @@ func newTestPool(t *testing.T, shards, c, k, s int, block bool, buffer int) *Poo
 }
 
 func TestConfigValidation(t *testing.T) {
-	mk := sketchMaker(8, 4)
+	mk := kfSampler(8, 4)
 	bad := []Config{
-		{Shards: 0, Capacity: 5, NewSketch: mk},
-		{Shards: MaxShards + 1, Capacity: 5, NewSketch: mk},
-		{Shards: 2, Buffer: -1, Capacity: 5, NewSketch: mk},
-		{Shards: 2, Capacity: 0, NewSketch: mk},
+		{Shards: 0, Capacity: 5, Sampler: mk},
+		{Shards: MaxShards + 1, Capacity: 5, Sampler: mk},
+		{Shards: 2, Buffer: -1, Capacity: 5, Sampler: mk},
+		{Shards: 2, Capacity: 0, Sampler: mk},
 		{Shards: 2, Capacity: 5},
 	}
 	for i, cfg := range bad {
@@ -53,13 +56,16 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d should fail", i)
 		}
 	}
-	// A failing sketch constructor must propagate without leaking workers
+	// A failing sampler constructor must propagate without leaking workers
 	// (run under -race / goroutine-leak checks).
-	_, err := New(Config{Shards: 3, Capacity: 5, NewSketch: func(r *rng.Xoshiro) (*cms.Sketch, error) {
-		return nil, errors.New("boom")
+	_, err := New(Config{Shards: 3, Capacity: 5, Sampler: core.SamplerFactory{
+		Name: "boom",
+		New: func(int, *rng.Xoshiro) (core.PoolSampler, error) {
+			return nil, errors.New("boom")
+		},
 	}})
 	if err == nil {
-		t.Fatal("failing sketch constructor should propagate")
+		t.Fatal("failing sampler constructor should propagate")
 	}
 }
 
@@ -85,7 +91,7 @@ func TestShardPartitionIsSalted(t *testing.T) {
 	mk := func(seed uint64) *Pool {
 		p, err := New(Config{
 			Shards: 8, Buffer: 4, Block: true, Seed: seed,
-			Capacity: 5, NewSketch: sketchMaker(8, 4),
+			Capacity: 5, Sampler: kfSampler(8, 4),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"nodesampling/internal/core"
+	"nodesampling/internal/cursor"
 	"nodesampling/internal/rng"
 )
 
@@ -92,61 +93,27 @@ func (p *Pool) Snapshot() ([]byte, error) {
 	return buf, nil
 }
 
-// snapshotReader is a bounds-checked cursor over a snapshot blob.
-type snapshotReader struct {
-	data []byte
-	off  int
-}
-
-func (r *snapshotReader) u32() (uint32, error) {
-	if r.off+4 > len(r.data) {
-		return 0, errors.New("shard: truncated snapshot")
-	}
-	v := binary.BigEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *snapshotReader) u64() (uint64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, errors.New("shard: truncated snapshot")
-	}
-	v := binary.BigEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *snapshotReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) {
-		return nil, errors.New("shard: truncated snapshot")
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
 // Restore rebuilds a live pool from a Snapshot blob. The snapshot governs
 // the shard count, memory capacity, shard map and sampler state (cfg.Shards
 // and cfg.Capacity are ignored); cfg supplies everything a snapshot does
-// not persist — queueing, backpressure, decay period, core options and
-// fresh randomness.
+// not persist — queueing, backpressure, decay period, per-sampler options
+// (inside cfg.Sampler) and fresh randomness.
 //
 // The strategy recorded in the blob must match the configured one: a blob
 // written under strategy A refuses to restore into a pool configured for
 // strategy B (and a pre-v2 blob, which implies the default knowledge-free
 // strategy, refuses any other), naming both strategies. When the config
-// names no strategy at all (no Sampler factory, no NewSketch hook), the
-// snapshot governs the strategy too. When a factory or sketch hook is
-// configured it also validates that the configured state shape matches the
-// snapshot, so a daemon restarted with different flags fails loudly instead
-// of serving surprising estimates.
+// names no strategy at all (no Sampler factory), the snapshot governs the
+// strategy too. When a factory is configured it also validates that the
+// configured state shape matches the snapshot, so a daemon restarted with
+// different flags fails loudly instead of serving surprising estimates.
 func Restore(cfg Config, data []byte) (*Pool, error) {
 	if err := cfg.validateCommon(); err != nil {
 		return nil, err
 	}
-	r := &snapshotReader{data: data}
-	magic, err := r.bytes(4)
-	if err != nil {
+	r := cursor.New("shard: snapshot", data)
+	magic, version := r.Bytes(4), r.U32()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if string(magic) != snapshotMagic {
@@ -158,31 +125,23 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 		}
 		return nil, errors.New("shard: bad magic, not a pool snapshot")
 	}
-	version, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
 	strategy := core.DefaultStrategy
 	switch version {
 	case 1:
 		// Pre-strategy blob: implies the default strategy, no tag to read.
 	case 2:
-		strategyLen, err := r.u32()
-		if err != nil {
+		strategyLen := r.U32()
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		if strategyLen == 0 || strategyLen > maxStrategyLen {
 			return nil, fmt.Errorf("shard: snapshot strategy name length %d outside [1, %d]", strategyLen, maxStrategyLen)
 		}
-		name, err := r.bytes(int(strategyLen))
-		if err != nil {
-			return nil, err
-		}
-		strategy = string(name)
+		strategy = string(r.Bytes(int(strategyLen)))
 	default:
 		return nil, fmt.Errorf("shard: unsupported snapshot version %d", version)
 	}
-	factory, configured := cfg.samplerFactory()
+	factory, configured := cfg.Sampler, cfg.Sampler.New != nil
 	if configured && factory.Name != strategy {
 		if version == 1 {
 			return nil, fmt.Errorf("shard: pre-v2 snapshot carries no strategy tag and implies %q, but the pool is configured for strategy %q",
@@ -191,30 +150,19 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 		return nil, fmt.Errorf("shard: snapshot was written by strategy %q, but the pool is configured for strategy %q",
 			strategy, factory.Name)
 	}
+	var err error
 	if !configured {
-		// The snapshot governs the strategy; only per-sampler options carry
-		// over from the config.
-		if factory, err = core.RestoreFactory(strategy, cfg.CoreOptions...); err != nil {
+		// The snapshot governs the strategy, and the marshalled state
+		// carries its own shape: no parameters to bind.
+		if factory, err = core.NewFactory(strategy, core.StrategyParams{}); err != nil {
 			return nil, fmt.Errorf("shard: snapshot strategy: %w", err)
 		}
 	}
-	var hdr [5]uint64
-	for i := range hdr {
-		if hdr[i], err = r.u64(); err != nil {
-			return nil, err
-		}
-	}
-	salt, epoch, decayTotal, retProcessed, retDropped := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4]
-	capacity32, err := r.u32()
-	if err != nil {
+	salt, epoch, decayTotal, retProcessed, retDropped := r.U64(), r.U64(), r.U64(), r.U64(), r.U64()
+	capacity, shards := int(r.U32()), int(r.U32())
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	shards32, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	capacity := int(capacity32)
-	shards := int(shards32)
 	// Sanity bounds before any capacity- or length-derived allocation: a
 	// corrupt (or hostile) blob must fail with a clean error, not an OOM —
 	// the same discipline as the wire decoders.
@@ -238,37 +186,18 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 	workers := make([]*worker, shards)
 	var family core.PoolSampler
 	for i := 0; i < shards; i++ {
-		if keys[i], err = r.u64(); err != nil {
-			return nil, err
-		}
-		var counters [3]uint64
-		for j := range counters {
-			if counters[j], err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
-		gammaLen, err := r.u32()
-		if err != nil {
+		keys[i] = r.U64()
+		counters := [3]uint64{r.U64(), r.U64(), r.U64()}
+		gammaLen := r.U32()
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		if int(gammaLen) > capacity {
 			return nil, fmt.Errorf("shard %d: snapshot Γ of %d exceeds capacity %d", i, gammaLen, capacity)
 		}
-		if 8*int(gammaLen) > len(r.data)-r.off {
-			return nil, errors.New("shard: truncated snapshot")
-		}
-		mem := make([]uint64, gammaLen)
-		for j := range mem {
-			if mem[j], err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
-		stateLen, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		state, err := r.bytes(int(stateLen))
-		if err != nil {
+		mem := r.U64s(int(gammaLen))
+		state := r.Bytes(int(r.U32()))
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		sampler, err := factory.Restore(capacity, state, root.Split())
@@ -299,8 +228,8 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 		w.dropped.Store(counters[2])
 		workers[i] = w
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("shard: %d trailing bytes after snapshot", len(data)-r.off)
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 
 	cfg.Shards = shards // sizes the default emit buffer

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"testing"
 
+	"nodesampling/internal/core"
+	"nodesampling/internal/cursor"
 	"nodesampling/internal/metrics"
 	"nodesampling/internal/rng"
 )
@@ -35,7 +38,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		population := 50 + int(src.Uint64n(400))
 		cfg := Config{
 			Shards: shards, Buffer: 8, Block: true, Seed: seed,
-			Capacity: 30, NewSketch: sketchMaker(64, 4),
+			Capacity: 30, Sampler: kfSampler(64, 4),
 		}
 		p, err := New(cfg)
 		if err != nil {
@@ -63,7 +66,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 		q := restoreFrom(t, p, Config{
 			Buffer: 8, Block: true, Seed: seed + 1,
-			NewSketch: sketchMaker(64, 4),
+			Sampler: kfSampler(64, 4),
 		})
 		if q.NumShards() != p.NumShards() || q.Epoch() != p.Epoch() {
 			t.Fatalf("trial %d: restored shape %d/%d, want %d/%d",
@@ -112,7 +115,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotRestoreWithDecay(t *testing.T) {
 	cfg := Config{
 		Shards: 4, Buffer: 8, Block: true, Seed: 21,
-		Capacity: 10, NewSketch: sketchMaker(16, 4), DecayEvery: 500,
+		Capacity: 10, Sampler: kfSampler(16, 4), DecayEvery: 500,
 	}
 	p, err := New(cfg)
 	if err != nil {
@@ -134,7 +137,7 @@ func TestSnapshotRestoreWithDecay(t *testing.T) {
 	}
 	q := restoreFrom(t, p, Config{
 		Buffer: 8, Block: true, Seed: 23,
-		NewSketch: sketchMaker(16, 4), DecayEvery: 500,
+		Sampler: kfSampler(16, 4), DecayEvery: 500,
 	})
 	st := q.Stats()
 	for i, s := range st.Shards {
@@ -185,7 +188,7 @@ func TestSnapshotRestoreUniformity(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	q := restoreFrom(t, p, Config{Buffer: 16, Block: true, Seed: 77, NewSketch: sketchMaker(10, 5)})
+	q := restoreFrom(t, p, Config{Buffer: 16, Block: true, Seed: 77, Sampler: kfSampler(10, 5)})
 	byID := metrics.NewHistogram()
 	for i := 0; i < 120000; i++ {
 		id, ok := q.Sample()
@@ -218,7 +221,7 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Buffer: 8, Block: true, NewSketch: sketchMaker(16, 4)}
+	cfg := Config{Buffer: 8, Block: true, Sampler: kfSampler(16, 4)}
 	if _, err := Restore(cfg, nil); err == nil {
 		t.Error("nil blob should fail")
 	}
@@ -236,7 +239,7 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	}
 	// A configured sketch shape that contradicts the snapshot is a
 	// deployment error, not something to silently paper over.
-	mismatch := Config{Buffer: 8, Block: true, NewSketch: sketchMaker(99, 2)}
+	mismatch := Config{Buffer: 8, Block: true, Sampler: kfSampler(99, 2)}
 	if _, err := Restore(mismatch, blob); err == nil {
 		t.Error("sketch shape mismatch should fail")
 	}
@@ -246,4 +249,86 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 		t.Fatalf("hookless restore: %v", err)
 	}
 	_ = q.Close()
+}
+
+// FuzzRestore throws hostile bytes at the snapshot decoder: it must fail
+// with an error or return a pool that works — one that snapshots again, to
+// a blob that restores again with the same shape. Seeds are real blobs of
+// both strategies and the pre-strategy version 1 layout, whole and cut
+// short, plus a sealed envelope.
+func FuzzRestore(f *testing.F) {
+	pop := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	for _, name := range core.Strategies() {
+		p, err := New(strategyConfig(f, name, 2, 6, 41))
+		if err != nil {
+			f.Fatal(err)
+		}
+		feedUniform(f, p, pop, 4, 42)
+		blob, err := p.Snapshot()
+		_ = p.Close()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+		f.Add(blob[:len(blob)-1])
+		f.Add(append(append([]byte(nil), blob...), 0))
+		if name == core.DefaultStrategy {
+			f.Add(v1Blob(f, blob))
+			sealed, err := SealSnapshot(blob, bytes.Repeat([]byte{7}, SnapshotKeyLen))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(sealed)
+		}
+	}
+	f.Add([]byte{})
+	f.Add([]byte(snapshotMagic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Restore sizes every shard's memory from the blob's capacity field,
+		// which it bounds at 2^20 (and the shards at 256): legitimate, but an
+		// input that says so would spend the run allocating gigabytes instead
+		// of exploring the decoder.
+		if c, n := declaredShape(data); c*n > 1<<12 {
+			t.Skip()
+		}
+		p, err := Restore(Config{Buffer: 2}, data)
+		if err != nil {
+			return
+		}
+		again, err := p.Snapshot()
+		shards, memory := p.NumShards(), p.MemoryTotal()
+		_ = p.Close()
+		if err != nil {
+			t.Fatalf("restored pool does not snapshot: %v", err)
+		}
+		q, err := Restore(Config{Buffer: 2}, again)
+		if err != nil {
+			t.Fatalf("snapshot of a restored pool does not restore: %v", err)
+		}
+		defer q.Close()
+		if q.NumShards() != shards || q.MemoryTotal() != memory {
+			t.Fatalf("second restore has %d shards and |Γ| %d, the first had %d and %d",
+				q.NumShards(), q.MemoryTotal(), shards, memory)
+		}
+	})
+}
+
+// declaredShape reads the memory capacity and shard count a snapshot blob
+// claims (0, 0 when it is too short to say).
+func declaredShape(data []byte) (capacity, shards int) {
+	r := cursor.New("test: snapshot", data)
+	if string(r.Bytes(4)) != snapshotMagic {
+		return 0, 0
+	}
+	if r.U32() == 2 {
+		_ = r.Bytes(int(r.U32()))
+	}
+	_ = r.Bytes(5 * 8)
+	capacity, shards = int(r.U32()), int(r.U32())
+	if r.Err() != nil {
+		return 0, 0
+	}
+	return capacity, shards
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // strategyConfig builds a pool config for a registered strategy by name.
-func strategyConfig(t *testing.T, name string, shards, c int, seed uint64) Config {
+func strategyConfig(t testing.TB, name string, shards, c int, seed uint64) Config {
 	t.Helper()
 	factory, err := core.NewFactory(name, core.StrategyParams{K: 16, S: 4})
 	if err != nil {
@@ -28,7 +28,7 @@ func strategyConfig(t *testing.T, name string, shards, c int, seed uint64) Confi
 }
 
 // feedUniform pushes rounds of a uniform stream over pop into p.
-func feedUniform(t *testing.T, p *Pool, pop []uint64, rounds int, seed uint64) {
+func feedUniform(t testing.TB, p *Pool, pop []uint64, rounds int, seed uint64) {
 	t.Helper()
 	src := rng.New(seed)
 	batch := make([]uint64, 128)
@@ -213,7 +213,7 @@ func TestStrategySnapshotMismatchNamesBoth(t *testing.T) {
 // layout: same magic and body, version 1, no strategy field. This is
 // exactly what a pre-refactor daemon wrote, because the knowledge-free
 // MarshalState emits raw sketch bytes.
-func v1Blob(t *testing.T, v2 []byte) []byte {
+func v1Blob(t testing.TB, v2 []byte) []byte {
 	t.Helper()
 	if len(v2) < 12 || string(v2[:4]) != snapshotMagic {
 		t.Fatal("not a v2 snapshot blob")

@@ -131,7 +131,7 @@ func TestGlobalDecayClock(t *testing.T) {
 		Seed:       99,
 		DecayEvery: decayEvery,
 		Capacity:   10,
-		NewSketch:  sketchMaker(16, 4),
+		Sampler:    kfSampler(16, 4),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestGlobalDecayClockConcurrent(t *testing.T) {
 		Seed:       123,
 		DecayEvery: decayEvery,
 		Capacity:   10,
-		NewSketch:  sketchMaker(16, 4),
+		Sampler:    kfSampler(16, 4),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestDecayStillUnbiases(t *testing.T) {
 		Seed:       7,
 		DecayEvery: 500,
 		Capacity:   8,
-		NewSketch:  sketchMaker(12, 4),
+		Sampler:    kfSampler(12, 4),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,22 +6,23 @@ import (
 	"time"
 
 	"nodesampling/internal/autoscale"
-	"nodesampling/internal/cms"
-	"nodesampling/internal/rng"
+	"nodesampling/internal/core"
 	"nodesampling/internal/shard"
 )
 
 func newTestPool(t *testing.T, shards int) *shard.Pool {
 	t.Helper()
+	sampler, err := core.NewFactory(core.DefaultStrategy, core.StrategyParams{K: 10, S: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := shard.New(shard.Config{
 		Shards:   shards,
 		Buffer:   16,
 		Block:    true,
 		Seed:     1,
 		Capacity: 10,
-		NewSketch: func(r *rng.Xoshiro) (*cms.Sketch, error) {
-			return cms.NewWithDimensions(10, 5, r)
-		},
+		Sampler:  sampler,
 	})
 	if err != nil {
 		t.Fatalf("shard.New: %v", err)

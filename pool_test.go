@@ -547,14 +547,23 @@ func TestPoolSubscribeEvery(t *testing.T) {
 			if s.Filtered == 0 {
 				t.Fatal("decimated subscription filtered nothing")
 			}
-			if total := s.Delivered + s.Dropped + s.Filtered; total != s.Offered {
-				t.Fatalf("accounting: delivered %d + dropped %d + filtered %d != offered %d",
-					s.Delivered, s.Dropped, s.Filtered, s.Offered)
-			}
 			if kept := s.Offered - s.Filtered; kept != s.Offered/every {
 				t.Fatalf("kept %d of %d offered, want 1 in %d", kept, s.Offered, every)
 			}
-			break
+			// Kept draws still in the subscription's ring are neither
+			// delivered nor dropped yet: they are depth. A pool subscription
+			// consumes through a channel, whose backlog Depth counts too
+			// (those draws are already delivered), so until the ring has
+			// drained the identity holds with Depth as slack, and exactly
+			// once it has.
+			done := s.Delivered + s.Dropped + s.Filtered
+			if done > s.Offered || done+uint64(s.Depth) < s.Offered {
+				t.Fatalf("accounting: delivered %d + dropped %d + filtered %d (+ depth %d) vs offered %d",
+					s.Delivered, s.Dropped, s.Filtered, s.Depth, s.Offered)
+			}
+			if done == s.Offered {
+				break
+			}
 		}
 		select {
 		case <-deadline:
