@@ -63,38 +63,27 @@ var perfSuite = []struct {
 	{"PoolSubscribeFanout/subs=4", "ns/id", func(b *testing.B) { perfPoolFanout(b, 4) }},
 	{"PoolSubscribeFanout/subs=16", "ns/id", func(b *testing.B) { perfPoolFanout(b, 16) }},
 	{"ControllerTick", "ns/op", perfControllerTick},
-	{"SketchAddEstimate/fused", "ns/op", func(b *testing.B) { perfSketchAdd(b, false) }},
-	{"SketchAddEstimate/reference", "ns/op", func(b *testing.B) { perfSketchAdd(b, true) }},
+	{"SketchAddEstimate/fused", "ns/op", perfSketchAdd},
 	{"SketchAddEstimate/k50s10", "ns/op", func(b *testing.B) { perfDaemonPoint(b, "sketch") }},
 	{"KnowledgeFreeProcessBatch/c25k50s10", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "sampler") }},
 	{"UniformityProbeOffer", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "probe") }},
-	{"Partition/pooled", "ns/id", func(b *testing.B) { perfPartition(b, true) }},
-	{"Partition/alloc", "ns/id", func(b *testing.B) { perfPartition(b, false) }},
-	{"ShardQueue/ring", "ns/op", func(b *testing.B) { perfQueue(b, true) }},
-	{"ShardQueue/channel", "ns/op", func(b *testing.B) { perfQueue(b, false) }},
 	{"BasaltProcess", "ns/id", perfBasaltProcess},
 }
 
-// perfSink defeats dead-code elimination of the shim benchmarks' results.
+// perfSink defeats dead-code elimination of the measured loops' results.
 var perfSink uint64
 
 // perfSketchAdd measures the fused Count-Min update (one premix + bulk
-// column pass) against the retained per-row reference path it replaced.
-func perfSketchAdd(b *testing.B, reference bool) {
+// column pass).
+func perfSketchAdd(b *testing.B) {
 	sk, err := cms.NewWithDimensions(1024, 5, rng.New(7))
 	if err != nil {
 		b.Fatal(err)
 	}
 	var s uint64
 	b.ResetTimer()
-	if reference {
-		for i := 0; i < b.N; i++ {
-			s += sk.AddEstimateReference(uint64(i) & 4095)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			s += sk.AddEstimate(uint64(i) & 4095)
-		}
+	for i := 0; i < b.N; i++ {
+		s += sk.AddEstimate(uint64(i) & 4095)
 	}
 	perfSink += s
 }
@@ -136,23 +125,6 @@ func perfDaemonPoint(b *testing.B, layer string) {
 			probe.Offer(ids)
 		}
 	}
-}
-
-// perfPartition measures the PushBatch counting-sort partition pass — b.N
-// ids in 2048-id batches across 8 shards — with the production pooled
-// buffers or with fresh allocations per batch (the pre-pool behaviour).
-func perfPartition(b *testing.B, pooled bool) {
-	perfSink += shard.BenchPartition(b.N, 2048, 8, pooled)
-}
-
-// perfQueue measures one enqueue/dequeue round-trip on the shard ingest
-// queue: the MPSC ring versus the buffered channel it replaced.
-func perfQueue(b *testing.B, ring bool) {
-	if ring {
-		perfSink += uint64(shard.BenchQueueRing(b.N, 64))
-		return
-	}
-	perfSink += uint64(shard.BenchQueueChannel(b.N, 64))
 }
 
 // runPerf measures every suite entry whose name contains filter ("" keeps

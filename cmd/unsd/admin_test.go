@@ -173,6 +173,25 @@ func TestSnapshotWriteFailureLeavesNoOrphan(t *testing.T) {
 	}
 }
 
+// TestPeriodicSnapshot: with a snapshot interval the daemon's one durability
+// loop writes on its own, repeatedly, and stops at Close.
+func TestPeriodicSnapshot(t *testing.T) {
+	o := defaultOptions()
+	o.snapshotPath = filepath.Join(t.TempDir(), "pool.snap")
+	o.snapshotInterval = 10 * time.Millisecond
+	d := testDaemon(t, o)
+	waitFor(t, "two periodic snapshot writes", func() bool { return d.snapWrites.Load() >= 2 })
+	if _, err := os.Stat(o.snapshotPath); err != nil {
+		t.Fatalf("periodic snapshot left no file: %v", err)
+	}
+	d.Close()
+	after := d.snapWrites.Load() // includes the final snapshot
+	time.Sleep(5 * o.snapshotInterval)
+	if now := d.snapWrites.Load(); now != after {
+		t.Fatalf("snapshot loop still writing after Close: %d → %d", after, now)
+	}
+}
+
 // TestAutoscaleCooldownOverflowRejected pins the overflow guard: a
 // millisecond count that would wrap the int64 duration must be a 400, not
 // a silently-installed garbage cooldown.

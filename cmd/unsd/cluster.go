@@ -7,17 +7,13 @@ package main
 // their standalone paths, and /migrate answers 400.
 
 import (
-	"crypto/tls"
-	"crypto/x509"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"sync"
 	"time"
 
 	"nodesampling/internal/cluster"
-	"nodesampling/internal/rng"
+	"nodesampling/internal/netgossip"
 	"nodesampling/internal/shard"
 	"nodesampling/internal/telemetry"
 )
@@ -51,107 +47,59 @@ func (d *daemon) ingestRouted(ids []uint64, surface string) error {
 	return d.ingest(local, surface)
 }
 
-// sampleN answers a sample request cluster-wide: n local draws plus n draws
-// from every reachable member, merged by a multinomial weighted on each
-// member's |Γ| — the same estimate-the-union trick the pool plays across
+// sampleN answers a sample request cluster-wide: per round, n local draws
+// plus n draws from every reachable member, merged by rng.Quotas weighted on
+// each member's |Γ| — the same estimate-the-union draw the pool plays across
 // its shards, so the cluster-wide output stays uniform over the union of
-// member memories no matter how unevenly the ids are distributed. Standalone
-// daemons take the pool path untouched.
+// member memories no matter how unevenly the ids are distributed. A round
+// is at most netgossip.MaxBatch draws, what one FrameSampleLocalResp can
+// carry, so no member is ever owed more draws than it answered with and
+// every n the surfaces admit is drawn the same way. Standalone daemons take
+// the pool path untouched.
 func (d *daemon) sampleN(n int) []uint64 {
 	if d.cluster == nil {
 		return d.pool.SampleN(n)
 	}
 	d.clusterFanouts.Add(1)
-	type source struct {
-		gamma uint64
-		ids   []uint64
-	}
-	var srcs []source
-	if local := d.pool.SampleN(n); len(local) > 0 {
-		srcs = append(srcs, source{gamma: uint64(d.pool.MemoryTotal()), ids: local})
-	}
-	for _, md := range d.cluster.SampleMembers(n, clusterSampleTimeout) {
-		if md.Err != nil {
-			d.clusterFanoutMissing.Add(1)
-			continue
-		}
-		if md.Gamma == 0 || len(md.IDs) == 0 {
-			continue
-		}
-		srcs = append(srcs, source{gamma: md.Gamma, ids: md.IDs})
-	}
-	if len(srcs) == 0 {
-		return nil
-	}
-	var total uint64
-	for _, s := range srcs {
-		total += s.gamma
-	}
 	out := make([]uint64, 0, n)
-	d.srng.mu.Lock()
-	defer d.srng.mu.Unlock()
 	for len(out) < n {
-		// Weighted pick among sources that still have unconsumed draws; each
-		// member's draws are i.i.d. uniform over its Γ, so a random remaining
-		// draw keeps every merged draw an exact P(id) = 1/|union| sample (up
-		// to the per-member duplicates a union sample inherently tolerates).
-		pick := d.srng.r.Uint64n(total)
-		chosen := -1
-		for i := range srcs {
-			g := srcs[i].gamma
-			if pick < g {
-				chosen = i
-				break
+		before := len(out)
+		round := min(n-before, netgossip.MaxBatch)
+		srcs := append(d.cluster.SampleMembers(round, clusterSampleTimeout),
+			cluster.MemberDraws{Gamma: uint64(d.pool.MemoryTotal()), IDs: d.pool.SampleN(round)})
+		// A member that is down or timed out (counted), or has nothing to
+		// offer, keeps weight zero, which Quotas never draws: it is out of
+		// this round only.
+		gammas := make([]uint64, len(srcs))
+		for i, src := range srcs {
+			if src.Err != nil {
+				d.clusterFanoutMissing.Add(1)
+			} else if len(src.IDs) > 0 {
+				gammas[i] = src.Gamma
 			}
-			pick -= g
 		}
-		if chosen < 0 || len(srcs[chosen].ids) == 0 {
-			// The chosen member's draws are exhausted (it answered with fewer
-			// than requested): retire it from the multinomial and retry.
-			if chosen >= 0 {
-				total -= srcs[chosen].gamma
-				srcs[chosen].gamma = 0
+		d.mergeMu.Lock()
+		for i, quota := range d.mergeRNG.Quotas(gammas, round) {
+			// Consume a uniformly random quota-sized subset, not the front:
+			// each member's draws are i.i.d. uniform over its Γ, but the pool
+			// groups them by shard, so when fewer than all of a member's draws
+			// are consumed, taking a prefix would systematically exclude its
+			// later shards' ids from the merge. A member that answered short
+			// of its quota leaves the rest to the next round.
+			ids := srcs[i].IDs
+			quota = min(quota, len(ids))
+			for j := 0; j < quota; j++ {
+				k := j + int(d.mergeRNG.Uint64n(uint64(len(ids)-j)))
+				ids[j], ids[k] = ids[k], ids[j]
 			}
-			if total == 0 {
-				break
-			}
-			continue
+			out = append(out, ids[:quota]...)
 		}
-		// Consume a uniformly random remaining draw, not the front one: the
-		// pool groups its draws by shard, so when fewer than all of a
-		// member's draws are consumed, taking a prefix would systematically
-		// exclude its later shards' ids from the merge.
-		ids := srcs[chosen].ids
-		j := int(d.srng.r.Uint64n(uint64(len(ids))))
-		out = append(out, ids[j])
-		ids[j] = ids[len(ids)-1]
-		srcs[chosen].ids = ids[:len(ids)-1]
+		d.mergeMu.Unlock()
+		if len(out) == before {
+			break // every reachable Γ is empty
+		}
 	}
 	return out
-}
-
-// loadClusterTLS builds the client-side TLS configuration for dialling
-// other members' stream listeners: the -cluster-ca bundle verifies them,
-// and the daemon's own serving certificate doubles as its client
-// certificate (mutual TLS) when one is configured.
-func loadClusterTLS(caFile, certFile, keyFile string) (*tls.Config, error) {
-	pemBytes, err := os.ReadFile(caFile)
-	if err != nil {
-		return nil, err
-	}
-	roots := x509.NewCertPool()
-	if !roots.AppendCertsFromPEM(pemBytes) {
-		return nil, fmt.Errorf("no CA certificates in %s", caFile)
-	}
-	cfg := &tls.Config{RootCAs: roots, MinVersion: tls.VersionTLS12}
-	if certFile != "" && keyFile != "" {
-		cert, err := tls.LoadX509KeyPair(certFile, keyFile)
-		if err != nil {
-			return nil, fmt.Errorf("load cluster client certificate: %w", err)
-		}
-		cfg.Certificates = []tls.Certificate{cert}
-	}
-	return cfg, nil
 }
 
 // handleMigrate serves POST /migrate: a live hand-off of one slot range —
@@ -198,11 +146,18 @@ func (d *daemon) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "target is this member")
 		return
 	}
-	if !d.opMu.TryLock() {
+	err := d.admin(false, func() error {
+		d.migrate(w, req.Target, from, to, target)
+		return nil
+	})
+	if err != nil {
 		conflict(w, "another migration, resize or snapshot is in progress")
-		return
 	}
-	defer d.opMu.Unlock()
+}
+
+// migrate is handleMigrate past validation, holding the admin gate: flush,
+// export, transfer, ownership flip, drop — answering w itself at every exit.
+func (d *daemon) migrate(w http.ResponseWriter, targetAddr string, from, to, target int) {
 	if !d.cluster.OwnsRange(from, to) {
 		httpError(w, http.StatusConflict, fmt.Sprintf("this member does not own all of slots [%d, %d]", from, to))
 		return
@@ -241,9 +196,9 @@ func (d *daemon) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	ackEpoch, err := d.cluster.MigrateTo(target, blob, clusterMigrateTimeout)
 	if err != nil {
-		d.logger.Error("migration failed", "target", req.Target,
+		d.logger.Error("migration failed", "target", targetAddr,
 			"from_slot", from, "to_slot", to, "error", err)
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("transfer to %s: %v", req.Target, err))
+		httpError(w, http.StatusBadGateway, fmt.Sprintf("transfer to %s: %v", targetAddr, err))
 		return
 	}
 	// The target holds the range's state now. Flip ownership before
@@ -256,11 +211,11 @@ func (d *daemon) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	// never flipped.
 	if !d.cluster.ApplyPlacement(ackEpoch, from, to, target) {
 		cur := d.cluster.Epoch()
-		d.logger.Error("migration epoch conflict", "target", req.Target,
+		d.logger.Error("migration epoch conflict", "target", targetAddr,
 			"from_slot", from, "to_slot", to, "epoch", ackEpoch, "current_epoch", cur)
 		httpError(w, http.StatusConflict, fmt.Sprintf(
 			"placement epoch %d was superseded by a concurrent migration (current epoch %d); nothing dropped, state duplicated on %s — retry",
-			ackEpoch, cur, req.Target))
+			ackEpoch, cur, targetAddr))
 		return
 	}
 	d.cluster.BroadcastPlacement(ackEpoch, from, to, target)
@@ -284,11 +239,11 @@ func (d *daemon) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.cluster.NoteMigration(false)
-	d.logger.Info("migration complete", "target", req.Target,
+	d.logger.Info("migration complete", "target", targetAddr,
 		"from_slot", from, "to_slot", to, "moved_ids", len(ids),
 		"dropped", dropped, "epoch", ackEpoch, "duration", time.Since(began))
 	writeJSON(w, map[string]any{
-		"target":    req.Target,
+		"target":    targetAddr,
 		"from_slot": from,
 		"to_slot":   to,
 		"moved_ids": len(ids),
@@ -387,15 +342,4 @@ func (d *daemon) collectCluster() []telemetry.Family {
 		fallbacks.Samples = append(fallbacks.Samples, telemetry.Sample{Labels: label, Value: float64(m.FallbackIDs)})
 	}
 	return append(fams, connected, slots, forwarded, fallbacks)
-}
-
-// sampleRNG is the daemon's merge randomness: one generator behind a mutex,
-// used only on the (rare, network-bound) cluster sample path.
-type sampleRNG struct {
-	mu sync.Mutex
-	r  *rng.Xoshiro
-}
-
-func newSampleRNG(seed uint64) *sampleRNG {
-	return &sampleRNG{r: rng.New(rng.Mix64(seed ^ 0x636c7573746572))} // "cluster"
 }

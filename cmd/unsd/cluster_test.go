@@ -47,7 +47,7 @@ func testClusterDaemons(t *testing.T, n int, tweak func(*options)) ([]*daemon, [
 	for i := range ds {
 		o := defaultOptions()
 		o.clusterMembers = addrs
-		o.clusterSelf = addrs[i]
+		o.streamAddr = addrs[i]
 		if tweak != nil {
 			tweak(&o)
 		}
@@ -229,6 +229,160 @@ func TestClusterSampleUniformDisproportionate(t *testing.T) {
 	}
 	if chi > 650 {
 		t.Fatalf("cluster-wide sample not uniform over disproportionate members: chi2 = %v (df = 511)", chi)
+	}
+}
+
+// skewedFleet boots the 384/96/32 fleet of
+// TestClusterSampleUniformDisproportionate and returns it with each member's
+// owned ids, settled in their owners' memories.
+func skewedFleet(t *testing.T) ([]*daemon, map[int][]uint64) {
+	t.Helper()
+	ds, _ := testClusterDaemons(t, 3, func(o *options) { o.c = 120 })
+	quota := map[int]int{0: 384, 1: 96, 2: 32}
+	var population []uint64
+	for id := uint64(1); len(population) < 512; id++ {
+		if owner := ds[0].cluster.OwnerOf(id); quota[owner] > 0 {
+			quota[owner]--
+			population = append(population, id)
+		}
+	}
+	if err := ds[0].ingestRouted(population, "stream"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the skewed population to settle at its owners", func() bool {
+		total := 0
+		for _, d := range ds {
+			total += len(memorySet(t, d))
+		}
+		return total == len(population)
+	})
+	return ds, ownedBy(ds, population)
+}
+
+// TestClusterSampleLargeNUniform pins the draw at every n the surfaces
+// admit: a member answers at most netgossip.MaxBatch draws per exchange, and
+// the old merge retired a member whose draws ran out, so asking the smallest
+// member (6.25 % of the union) for 16384 draws returned 50 % local ids and
+// GET /sample?n=65536 returned 87.5 %. Each member's share must match
+// |Γᵢ| / Σ|Γ| (6σ of the binomial at n = 16384 is 0.023 for the largest
+// member) and the draws must stay chi-square uniform over the population
+// (df = 511, threshold as in TestClusterSampleUniformDisproportionate).
+func TestClusterSampleLargeNUniform(t *testing.T) {
+	ds, byOwner := skewedFleet(t)
+	smallest := ds[2]
+	owner := make(map[uint64]int)
+	for member, ids := range byOwner {
+		for _, id := range ids {
+			owner[id] = member
+		}
+	}
+	check := func(what string, n int, draws []uint64) {
+		t.Helper()
+		if len(draws) != n {
+			t.Fatalf("%s: %d draws, want %d", what, len(draws), n)
+		}
+		hist := metrics.NewHistogram()
+		counts := make([]float64, 3)
+		for _, id := range draws {
+			hist.Add(id)
+			counts[owner[id]]++
+		}
+		for member, c := range counts {
+			got, want := c/float64(n), float64(len(byOwner[member]))/512
+			if got < want-0.025 || got > want+0.025 {
+				t.Errorf("%s: member %d supplied %.4f of the draws, its share of the union is %.4f", what, member, got, want)
+			}
+		}
+		if chi, err := hist.ChiSquareUniform(512); err != nil || chi > 650 {
+			t.Errorf("%s: not uniform over the union: chi2 = %v (df = 511), err %v", what, chi, err)
+		}
+	}
+	check("sampleN(16384)", 16384, smallest.sampleN(16384))
+
+	ts := httptest.NewServer(smallest.handler())
+	defer ts.Close()
+	var resp struct {
+		Samples []jsonID `json:"samples"`
+	}
+	if code := getJSON(t, ts.URL+"/sample?n=65536", &resp); code != http.StatusOK {
+		t.Fatalf("GET /sample?n=65536 → %d", code)
+	}
+	draws := make([]uint64, len(resp.Samples))
+	for i, id := range resp.Samples {
+		draws[i] = uint64(id)
+	}
+	check("GET /sample?n=65536", 65536, draws)
+}
+
+// TestClusterSampleMemberMissPerRound: a member that cannot answer is left
+// out of each round's quotas — the answer is still n draws, uniform over the
+// reachable members' ids — and counted once per round it missed.
+func TestClusterSampleMemberMissPerRound(t *testing.T) {
+	ds, byOwner := skewedFleet(t)
+	ds[1].Close()
+	waitFor(t, "member 1's connections to drop", func() bool {
+		for _, m := range ds[0].cluster.Stats().Members {
+			if m.Addr == ds[1].cluster.Members()[1] && m.Connected {
+				return false
+			}
+		}
+		return true
+	})
+	gone := make(map[uint64]bool)
+	for _, id := range byOwner[1] {
+		gone[id] = true
+	}
+	const n = 2*netgossip.MaxBatch + 10 // three rounds
+	before := ds[0].clusterFanoutMissing.Load()
+	draws := ds[0].sampleN(n)
+	if len(draws) != n {
+		t.Fatalf("fan-out with a member down returned %d draws, want %d", len(draws), n)
+	}
+	local := 0
+	for _, id := range draws {
+		if gone[id] {
+			t.Fatalf("id %d lives only on the dead member", id)
+		}
+		if ds[0].cluster.OwnerOf(id) == 0 {
+			local++
+		}
+	}
+	if got, want := float64(local)/n, 384.0/(384+32); got < want-0.03 || got > want+0.03 {
+		t.Fatalf("member 0 supplied %.4f of the draws, its share of the reachable union is %.4f", got, want)
+	}
+	if missed := ds[0].clusterFanoutMissing.Load() - before; missed != 3 {
+		t.Fatalf("unsd_cluster_sample_member_misses_total moved by %d over three rounds, want 3", missed)
+	}
+}
+
+// TestNewDaemonFailureLeavesNoMemberDialling: a boot that fails after its
+// cluster plane was configured (autoscale bounds inverted, the last thing
+// newDaemon validates) must return with nothing left running — the other
+// member's pre-bound listener accepts no connection once the error is back.
+// The parent closed the pool and left the member connection dialling.
+func TestNewDaemonFailureLeavesNoMemberDialling(t *testing.T) {
+	lns := make([]*net.TCPListener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		lns[i], addrs[i] = ln.(*net.TCPListener), ln.Addr().String()
+	}
+	o := defaultOptions()
+	o.clusterMembers, o.streamAddr = addrs, addrs[0]
+	o.minShards, o.maxShards = 8, 2
+	if _, err := newDaemon(o); err == nil {
+		t.Fatal("inverted autoscale bounds accepted")
+	}
+	if err := lns[1].SetDeadline(time.Now().Add(300 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if conn, err := lns[1].Accept(); err == nil {
+		conn.Close()
+		t.Fatal("a failed boot left its member connection dialling")
 	}
 }
 

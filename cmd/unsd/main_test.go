@@ -29,7 +29,10 @@ func testDaemon(t *testing.T, o options) *daemon {
 }
 
 func defaultOptions() options {
-	return options{shards: 4, c: 10, k: 10, s: 5, buffer: 16, block: true, seed: 1}
+	return options{
+		shards: 4, c: 10, k: 10, s: 5, buffer: 16, block: true, seed: 1,
+		minShards: 1, maxShards: 64, autoscaleInterval: time.Second,
+	}
 }
 
 func postPush(t *testing.T, url string, ids []uint64) *http.Response {

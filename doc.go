@@ -107,9 +107,10 @@
 // epoch-versioned shard map: salted rendezvous hashing over a slot table,
 // unpredictable to an adversary (no precomputable shard-flooding), O(1)
 // per id, and stable between resizes. Sample draws a shard weighted by its
-// current |Γ|, then a uniform element of it — a uniform draw over the
-// union of the memories, preserving Uniformity at the population level,
-// while Freshness holds per shard. WithDecay on a Pool runs a single
+// current |Γ| (internal/rng's Quotas, the service's one Γ-weighted draw),
+// then a uniform element of it — a uniform draw over the union of the
+// memories, preserving Uniformity at the population level, while Freshness
+// holds per shard. WithDecay on a Pool runs a single
 // global decay clock: all shards halve their sketches on a shared epoch
 // derived from the pool-wide ingest count, keeping their frequency
 // estimates comparable even when the partition is momentarily skewed.
@@ -316,9 +317,11 @@
 // because cluster-wide sampling weights members by the |Γ| they actually
 // hold. Sample and SampleN at any member fan out to the fleet and merge
 // the members' local draws by a |Γ|-weighted multinomial — the same
-// estimate-the-union trick the pool plays across its shards — so the
-// answer is uniform over the union of member memories no matter how
-// unevenly ids are distributed, and no matter which member was asked.
+// estimate-the-union trick the pool plays across its shards, and the same
+// function: rng.Quotas over member memories, in rounds of at most one
+// frame's worth of draws — so the answer is uniform over the union of
+// member memories no matter how unevenly ids are distributed, no matter
+// which member was asked, and at every n the surfaces admit.
 //
 // Ownership moves while the fleet runs. POST /migrate on a member that
 // owns a slot range hands the range to another member: a flush barrier

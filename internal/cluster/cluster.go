@@ -383,23 +383,22 @@ type MemberDraws struct {
 // SampleMembers asks every remote member for n local draws and its |Γ|,
 // concurrently, each under the member connection's single-outstanding RPC
 // discipline. Members that are down or time out come back with Err set;
-// the caller excludes them from the weighted merge.
+// the caller excludes them from the weighted merge. The answers come back
+// in member order, so a seeded merge over them is reproducible.
 func (c *Cluster) SampleMembers(n int, timeout time.Duration) []MemberDraws {
 	out := make([]MemberDraws, 0, len(c.members)-1)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
 	for i, mc := range c.conns {
-		if mc == nil {
-			continue
+		if mc != nil {
+			out = append(out, MemberDraws{Member: i, Addr: c.members[i]})
 		}
+	}
+	var wg sync.WaitGroup
+	for k := range out {
 		wg.Add(1)
-		go func(i int, mc *memberConn) {
+		go func(md *MemberDraws) {
 			defer wg.Done()
-			gamma, ids, err := mc.sampleLocal(n, timeout)
-			mu.Lock()
-			out = append(out, MemberDraws{Member: i, Addr: c.members[i], Gamma: gamma, IDs: ids, Err: err})
-			mu.Unlock()
-		}(i, mc)
+			md.Gamma, md.IDs, md.Err = c.conns[md.Member].sampleLocal(n, timeout)
+		}(&out[k])
 	}
 	wg.Wait()
 	return out

@@ -112,7 +112,8 @@ func (sk *Sketch) Add(id uint64) { sk.AddEstimate(id) }
 // (KnowledgeFree.ProcessBatch) cheaper per id than the single-id path.
 // The row hashes come from one fused Columns pass (a single key premix
 // for all rows, no per-row division under fastrange); the per-row Hash
-// path survives as AddEstimateReference, pinned bit-identical by tests.
+// path survives as a test oracle (addEstimateReference) that pins it
+// bit-identical.
 func (sk *Sketch) AddEstimate(id uint64) uint64 {
 	sk.total++
 	sk.hashes.Columns(id, sk.scratch)
@@ -131,30 +132,6 @@ func (sk *Sketch) AddEstimate(id uint64) uint64 {
 			est = v
 		}
 		base += sk.cols
-	}
-	if sk.gMinCnt == 0 {
-		sk.rescanMin()
-	}
-	return est
-}
-
-// AddEstimateReference is AddEstimate over the per-row reference hash path
-// (Family.Hash instead of the fused Columns). It exists so property tests
-// and the perf suite can pin the fused path against it — the two must agree
-// bit-for-bit on every counter and estimate.
-func (sk *Sketch) AddEstimateReference(id uint64) uint64 {
-	sk.total++
-	est := ^uint64(0)
-	for row := 0; row < sk.rows; row++ {
-		idx := row*sk.cols + sk.hashes.Hash(row, id)
-		v := sk.counts[idx] + 1
-		sk.counts[idx] = v
-		if v-1 == sk.gMin {
-			sk.gMinCnt--
-		}
-		if v < est {
-			est = v
-		}
 	}
 	if sk.gMinCnt == 0 {
 		sk.rescanMin()

@@ -442,6 +442,30 @@ func BenchmarkAddAndEstimate(b *testing.B) {
 	_ = sink
 }
 
+// addEstimateReference is AddEstimate over the per-row reference hash path
+// (Family.Hash instead of the fused Columns): the oracle the fused path is
+// pinned against — the two must agree bit-for-bit on every counter and
+// estimate.
+func (sk *Sketch) addEstimateReference(id uint64) uint64 {
+	sk.total++
+	est := ^uint64(0)
+	for row := 0; row < sk.rows; row++ {
+		idx := row*sk.cols + sk.hashes.Hash(row, id)
+		v := sk.counts[idx] + 1
+		sk.counts[idx] = v
+		if v-1 == sk.gMin {
+			sk.gMinCnt--
+		}
+		if v < est {
+			est = v
+		}
+	}
+	if sk.gMinCnt == 0 {
+		sk.rescanMin()
+	}
+	return est
+}
+
 // TestFusedMatchesReference pins the fused AddEstimate (bulk Columns, one
 // premix per id) against the retained per-row reference path: identical
 // estimates and identical global-min tracking over an interleaved stream,
@@ -457,7 +481,7 @@ func TestFusedMatchesReference(t *testing.T) {
 		for i := 0; i < 30000; i++ {
 			id := r.Uint64n(500)
 			ef := fused.AddEstimate(id)
-			er := ref.AddEstimateReference(id)
+			er := ref.addEstimateReference(id)
 			if ef != er {
 				t.Fatalf("mode %v step %d id %d: fused estimate %d != reference %d", mode, i, id, ef, er)
 			}
@@ -574,7 +598,7 @@ func BenchmarkSketchAddEstimate(b *testing.B) {
 		add  func(*Sketch, uint64) uint64
 	}{
 		{"fused", (*Sketch).AddEstimate},
-		{"reference", (*Sketch).AddEstimateReference},
+		{"reference", (*Sketch).addEstimateReference},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			sk := mustSketch(b, 1024, 5, 7)

@@ -110,6 +110,37 @@ func (x *Xoshiro) Uint64n(n uint64) uint64 {
 	return hi
 }
 
+// Quotas draws n independent indices with P(i) = weights[i] / Σ weights and
+// returns how many landed on each — the multinomial counts of the service's
+// one Γ-weighted draw: pick a source with probability |Γᵢ| / Σ|Γ|, then a
+// uniform element of it, which is a uniform draw over the union of the
+// sources whatever their sizes. The shard pool calls it over shard sizes and
+// the daemon's cluster merge over member memories. It consumes the generator
+// one Uint64n(Σ weights) per draw, so the counts are a function of the
+// generator's state and the weights alone. A zero weight never draws; zero n
+// or all-zero weights yield nil and leave the generator untouched.
+func (x *Xoshiro) Quotas(weights []uint64, n int) []int {
+	var total uint64
+	for _, w := range weights {
+		total += w
+	}
+	if total == 0 || n < 1 {
+		return nil
+	}
+	quotas := make([]int, len(weights))
+	for ; n > 0; n-- {
+		pick := x.Uint64n(total)
+		for i, w := range weights {
+			if pick < w {
+				quotas[i]++
+				break
+			}
+			pick -= w
+		}
+	}
+	return quotas
+}
+
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (x *Xoshiro) Intn(n int) int {
 	if n <= 0 {

@@ -235,6 +235,108 @@ func TestUint64nUniformity(t *testing.T) {
 	}
 }
 
+// TestQuotas is the one suite behind the service's one Γ-weighted draw:
+// whatever level calls Quotas (shard sizes, member memories), these are the
+// properties its uniformity over the union rests on.
+func TestQuotas(t *testing.T) {
+	weights := []uint64{384, 0, 96, 32, 0}
+	t.Run("sum to n and skip zero weights", func(t *testing.T) {
+		x := New(5)
+		for _, n := range []int{1, 7, 4096, 65536} {
+			q := x.Quotas(weights, n)
+			if len(q) != len(weights) {
+				t.Fatalf("n=%d: %d quotas for %d weights", n, len(q), len(weights))
+			}
+			sum := 0
+			for i, c := range q {
+				if weights[i] == 0 && c != 0 {
+					t.Fatalf("n=%d: zero weight %d drew %d times", n, i, c)
+				}
+				sum += c
+			}
+			if sum != n {
+				t.Fatalf("n=%d: quotas sum to %d", n, sum)
+			}
+		}
+	})
+	t.Run("nothing to draw", func(t *testing.T) {
+		x, ref := New(9), New(9)
+		if q := x.Quotas([]uint64{0, 0, 0}, 100); q != nil {
+			t.Fatalf("all-zero weights yielded %v", q)
+		}
+		if q := x.Quotas(nil, 100); q != nil {
+			t.Fatalf("no weights yielded %v", q)
+		}
+		if q := x.Quotas(weights, 0); q != nil {
+			t.Fatalf("n=0 yielded %v", q)
+		}
+		if x.Uint64() != ref.Uint64() {
+			t.Fatal("an empty draw consumed the generator")
+		}
+	})
+	t.Run("chi-square against the weights", func(t *testing.T) {
+		// 2·10⁵ draws in MaxBatch-sized calls, as the cluster merge makes them;
+		// three non-zero cells, so df = 2 and 13.8 is the 0.001 critical value.
+		x := New(31)
+		const calls, per = 50, 4096
+		got := make([]float64, len(weights))
+		for c := 0; c < calls; c++ {
+			for i, q := range x.Quotas(weights, per) {
+				got[i] += float64(q)
+			}
+		}
+		var total float64
+		for _, w := range weights {
+			total += float64(w)
+		}
+		chi := 0.0
+		for i, w := range weights {
+			if w == 0 {
+				continue
+			}
+			want := calls * per * float64(w) / total
+			chi += (got[i] - want) * (got[i] - want) / want
+		}
+		if chi > 13.8 {
+			t.Fatalf("quotas %v do not follow weights %v: chi2 = %v (df = 2)", got, weights, chi)
+		}
+	})
+	t.Run("same seed, same quotas", func(t *testing.T) {
+		a, b := New(77), New(77)
+		for round := 0; round < 8; round++ {
+			qa, qb := a.Quotas(weights, 1000), b.Quotas(weights, 1000)
+			for i := range qa {
+				if qa[i] != qb[i] {
+					t.Fatalf("round %d: %v != %v under one seed", round, qa, qb)
+				}
+			}
+		}
+		// One Uint64n(Σ weights) per draw and nothing else: a caller drawing
+		// the indices itself stays in lockstep with the generator.
+		x, ref := New(3), New(3)
+		q := x.Quotas(weights, 500)
+		want := make([]int, len(weights))
+		for j := 0; j < 500; j++ {
+			pick := ref.Uint64n(512)
+			for i, w := range weights {
+				if pick < w {
+					want[i]++
+					break
+				}
+				pick -= w
+			}
+		}
+		for i := range q {
+			if q[i] != want[i] {
+				t.Fatalf("quotas %v, one-Uint64n-per-draw reference %v", q, want)
+			}
+		}
+		if x.Uint64() != ref.Uint64() {
+			t.Fatal("Quotas consumed the generator differently from one Uint64n per draw")
+		}
+	})
+}
+
 func BenchmarkXoshiroUint64(b *testing.B) {
 	x := New(1)
 	var sink uint64

@@ -863,38 +863,23 @@ func (p *Pool) Sample() (uint64, bool) {
 func (p *Pool) SampleN(n int) []uint64 { return p.sample(n) }
 
 // sample draws up to n weighted-shard samples against one snapshot of the
-// shard sizes, with all shard indices drawn under a single lock
-// acquisition so concurrent readers do not serialize per draw.
+// shard sizes, with all shard quotas drawn (rng.Quotas, the one Γ-weighted
+// draw) under a single lock acquisition so concurrent readers do not
+// serialize per draw.
 func (p *Pool) sample(n int) []uint64 {
-	if n < 1 {
-		return nil
-	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	nw := len(p.workers)
-	sizes := make([]int64, nw)
-	var total int64
+	sizes := make([]uint64, nw)
 	for i, w := range p.workers {
-		s := w.memSize.Load()
-		sizes[i] = s
-		total += s
+		sizes[i] = uint64(w.memSize.Load())
 	}
-	if total == 0 {
+	p.rmu.Lock()
+	picks := p.r.Quotas(sizes, n)
+	p.rmu.Unlock()
+	if picks == nil {
 		return nil
 	}
-	picks := make([]int, nw)
-	p.rmu.Lock()
-	for j := 0; j < n; j++ {
-		x := int64(p.r.Uint64n(uint64(total)))
-		for i, s := range sizes {
-			if x < s {
-				picks[i]++
-				break
-			}
-			x -= s
-		}
-	}
-	p.rmu.Unlock()
 	// Draw each shard's quota under one lock acquisition, so a large n
 	// costs at most one lock round-trip per shard rather than per sample.
 	// The grouping does not change the distribution: the draws are
@@ -1143,13 +1128,14 @@ func (p *Pool) restartWorkers(ws []*worker) {
 	}
 }
 
-// ShardStats is one shard's activity snapshot.
+// ShardStats is one shard's activity snapshot; the tags are its row in the
+// daemon's /stats.
 type ShardStats struct {
-	Processed  uint64 // ids processed by the shard's sampler
-	Dropped    uint64 // ids discarded because the shard queue was full
-	Halvings   uint64 // decay steps applied to the shard's sampler
-	QueueDepth int    // batches currently waiting in the shard queue
-	MemorySize int    // current |Γ| of the shard's sampler
+	Processed  uint64 `json:"processed"`   // ids processed by the shard's sampler
+	Dropped    uint64 `json:"dropped"`     // ids discarded because the shard queue was full
+	Halvings   uint64 `json:"halvings"`    // decay steps applied to the shard's sampler
+	QueueDepth int    `json:"queue_depth"` // batches currently waiting in the shard queue
+	MemorySize int    `json:"memory_size"` // current |Γ| of the shard's sampler
 }
 
 // Stats is a whole-pool activity snapshot.

@@ -406,3 +406,38 @@ func TestCloseLifecycle(t *testing.T) {
 		t.Fatalf("sample after close = (%d, %v)", id, ok)
 	}
 }
+
+// TestSampleNFixedSeedGolden pins SampleN under a fixed seed to the ids it
+// returned before the Γ-weighted draw moved into rng.Quotas: the shard
+// quotas must consume the pool's generator exactly as the inline loop did
+// (one Uint64n(total) per draw), or every seeded consumer's output shifts.
+// 23 ids leave the four memories unequally full (5, 8, 6, 4), so the
+// weights matter.
+func TestSampleNFixedSeedGolden(t *testing.T) {
+	p := newTestPool(t, 4, 10, 16, 4, true, 16)
+	ids := make([]uint64, 23)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	if err := p.PushBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]uint64{
+		{0, 0, 2, 19, 1, 6, 12, 12, 3, 11, 14, 7},
+		{10, 19, 8, 21, 1, 15, 18, 12, 3, 15, 14, 14},
+	}
+	for call, w := range want {
+		got := p.SampleN(len(w))
+		if len(got) != len(w) {
+			t.Fatalf("call %d: SampleN returned %d ids, want %d", call, len(got), len(w))
+		}
+		for i := range w {
+			if got[i] != w[i] {
+				t.Fatalf("call %d: SampleN = %v, want %v", call, got, w)
+			}
+		}
+	}
+}

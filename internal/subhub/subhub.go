@@ -186,18 +186,19 @@ func (h *Hub) Publish(ids []uint64) {
 	h.mu.Unlock()
 }
 
-// SubStats is one subscription's delivery accounting snapshot.
+// SubStats is one subscription's delivery accounting snapshot; the tags are
+// its row in the daemon's /stats.
 type SubStats struct {
-	ID        uint64 // stable per-hub subscription identifier
-	Offered   uint64 // ids published while this subscription was live
-	Delivered uint64 // ids handed out by Next (for C: on their way into the channel)
-	Dropped   uint64 // ids overwritten in the ring or discarded at cancel
-	Filtered  uint64 // ids thinned away by the decimation interval
-	Capped    uint64 // ids discarded by the delivery rate cap
-	Capacity  int    // ring capacity
-	Depth     int    // ids buffered and not yet consumed (ring, plus C's channel)
-	Every     int    // decimation interval (1 delivers everything)
-	Rate      uint32 // delivery rate cap in ids/second (0 = uncapped)
+	ID        uint64 `json:"id"`        // stable per-hub subscription identifier
+	Offered   uint64 `json:"offered"`   // ids published while this subscription was live
+	Delivered uint64 `json:"delivered"` // ids handed out by Next (for C: on their way into the channel)
+	Dropped   uint64 `json:"dropped"`   // ids overwritten in the ring or discarded at cancel
+	Filtered  uint64 `json:"filtered"`  // ids thinned away by the decimation interval
+	Capped    uint64 `json:"capped"`    // ids discarded by the delivery rate cap
+	Capacity  int    `json:"capacity"`  // ring capacity
+	Depth     int    `json:"depth"`     // ids buffered and not yet consumed (ring, plus C's channel)
+	Every     int    `json:"every"`     // decimation interval (1 delivers everything)
+	Rate      uint32 `json:"rate"`      // delivery rate cap in ids/second (0 = uncapped)
 }
 
 // Stats returns a snapshot of every live subscription's counters.
