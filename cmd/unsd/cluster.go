@@ -1,7 +1,7 @@
 package main
 
 // The daemon's cluster plane: ingest partitioning and forwarding, the
-// cluster-wide weighted sample fan-out, the live-migration admin endpoint
+// cluster-wide weighted sample rounds, the live-migration admin endpoint
 // (POST /migrate) and the cluster metric families. Everything here is
 // inert when -cluster is off: d.cluster stays nil, ingest and Sample take
 // their standalone paths, and /migrate answers 400.
@@ -18,8 +18,8 @@ import (
 	"nodesampling/internal/telemetry"
 )
 
-// clusterSampleTimeout bounds the remote half of a sample fan-out; a member
-// that cannot answer within it is excluded from the merge (and counted).
+// clusterSampleTimeout bounds a reservoir refill, the remote half of a sample
+// round; a member that cannot answer within it is out of it (and counted).
 const clusterSampleTimeout = 10 * time.Second
 
 // clusterMigrateTimeout bounds a migration transfer end to end: blob write,
@@ -47,55 +47,50 @@ func (d *daemon) ingestRouted(ids []uint64, surface string) error {
 	return d.ingest(local, surface)
 }
 
-// sampleN answers a sample request cluster-wide: per round, n local draws
-// plus n draws from every reachable member, merged by rng.Quotas weighted on
-// each member's |Γ| — the same estimate-the-union draw the pool plays across
-// its shards, so the cluster-wide output stays uniform over the union of
-// member memories no matter how unevenly the ids are distributed. A round
+// sampleN answers a sample request cluster-wide, quota first: per round, the
+// members' |Γ| (cached with their reservoirs of draws, at most 10 ms old)
+// and the live local one are dealt the round's draws by rng.Quotas — the
+// same estimate-the-union draw the pool plays across its shards, so the
+// output stays uniform over the union of member memories however unevenly
+// the ids are distributed — and each source serves exactly its quota: the
+// pool draws it, a member's reservoir gives it up, each draw once. A round
 // is at most netgossip.MaxBatch draws, what one FrameSampleLocalResp can
-// carry, so no member is ever owed more draws than it answered with and
-// every n the surfaces admit is drawn the same way. Standalone daemons take
-// the pool path untouched.
+// carry, so a quota is within one refill and every n the surfaces admit is
+// drawn the same way. Standalone daemons take the pool path untouched.
 func (d *daemon) sampleN(n int) []uint64 {
 	if d.cluster == nil {
 		return d.pool.SampleN(n)
 	}
 	d.clusterFanouts.Add(1)
+	self := d.cluster.SelfIndex()
 	out := make([]uint64, 0, n)
 	for len(out) < n {
-		before := len(out)
+		before, owed := len(out), false
 		round := min(n-before, netgossip.MaxBatch)
-		srcs := append(d.cluster.SampleMembers(round, clusterSampleTimeout),
-			cluster.MemberDraws{Gamma: uint64(d.pool.MemoryTotal()), IDs: d.pool.SampleN(round)})
-		// A member that is down or timed out (counted), or has nothing to
-		// offer, keeps weight zero, which Quotas never draws: it is out of
-		// this round only.
-		gammas := make([]uint64, len(srcs))
-		for i, src := range srcs {
-			if src.Err != nil {
-				d.clusterFanoutMissing.Add(1)
-			} else if len(src.IDs) > 0 {
-				gammas[i] = src.Gamma
-			}
-		}
+		// A member that is down or timed out (counted) has weight zero,
+		// which Quotas never draws: it is out of this round only.
+		gammas, misses := d.cluster.SampleMembers(clusterSampleTimeout)
+		gammas[self] = uint64(d.pool.MemoryTotal())
 		d.mergeMu.Lock()
-		for i, quota := range d.mergeRNG.Quotas(gammas, round) {
-			// Consume a uniformly random quota-sized subset, not the front:
-			// each member's draws are i.i.d. uniform over its Γ, but the pool
-			// groups them by shard, so when fewer than all of a member's draws
-			// are consumed, taking a prefix would systematically exclude its
-			// later shards' ids from the merge. A member that answered short
-			// of its quota leaves the rest to the next round.
-			ids := srcs[i].IDs
-			quota = min(quota, len(ids))
-			for j := 0; j < quota; j++ {
-				k := j + int(d.mergeRNG.Uint64n(uint64(len(ids)-j)))
-				ids[j], ids[k] = ids[k], ids[j]
-			}
-			out = append(out, ids[:quota]...)
-		}
+		quotas := d.mergeRNG.Quotas(gammas, round)
 		d.mergeMu.Unlock()
-		if len(out) == before {
+		for i, quota := range quotas {
+			if quota == 0 {
+				continue
+			}
+			if i == self {
+				out = append(out, d.pool.SampleN(quota)...)
+				continue
+			}
+			// A member short of its quota, or whose refill fails (a miss,
+			// like a failed weight), leaves the rest to the next round.
+			var err error
+			if out, err = d.cluster.TakeDraws(i, out, quota, clusterSampleTimeout); err != nil {
+				misses, owed = misses+1, true
+			}
+		}
+		d.clusterFanoutMissing.Add(uint64(misses))
+		if len(out) == before && !owed {
 			break // every reachable Γ is empty
 		}
 	}
@@ -285,7 +280,7 @@ func (d *daemon) importMigration(m cluster.Migration) (uint64, error) {
 
 // collectCluster exports the cluster plane's metric families: epoch,
 // membership health, per-member forwarding accounting and the sample
-// fan-out counters. Registered only when -cluster is on.
+// plane's counters. Registered only when -cluster is on.
 func (d *daemon) collectCluster() []telemetry.Family {
 	st := d.cluster.Stats()
 	fams := []telemetry.Family{
@@ -305,41 +300,38 @@ func (d *daemon) collectCluster() []telemetry.Family {
 			"Slot-range migrations exported by this member.",
 			float64(st.MigrationsOut)),
 		telemetry.C("unsd_cluster_sample_fanouts_total",
-			"Cluster-wide sample requests fanned out by this member.",
+			"Cluster-wide sample requests answered by this member.",
 			float64(d.clusterFanouts.Load())),
 		telemetry.C("unsd_cluster_sample_member_misses_total",
-			"Members excluded from a sample merge because they were down or timed out.",
+			"Members left out of a sample round because they were down or timed out.",
 			float64(d.clusterFanoutMissing.Load())),
 	}
-	connected := telemetry.Family{
-		Name: "unsd_cluster_member_connected",
-		Help: "Whether the persistent connection to each member is up (self is always 1).",
-		Type: telemetry.Gauge,
-	}
-	slots := telemetry.Family{
-		Name: "unsd_cluster_member_slots",
-		Help: "Hash-space slots owned by each member under the current placement.",
-		Type: telemetry.Gauge,
-	}
-	forwarded := telemetry.Family{
-		Name: "unsd_cluster_forwarded_ids_total",
-		Help: "Ids forwarded to each member over the cluster plane.",
-		Type: telemetry.Counter,
-	}
-	fallbacks := telemetry.Family{
-		Name: "unsd_cluster_fallback_ids_total",
-		Help: "Ids ingested locally because their owner member was unreachable or its queue full.",
-		Type: telemetry.Counter,
+	// One sample per member, valued in the order of the loop below; self
+	// has the first two only.
+	perMember := []telemetry.Family{
+		{Name: "unsd_cluster_member_connected", Type: telemetry.Gauge,
+			Help: "Whether the persistent connection to each member is up (self is always 1)."},
+		{Name: "unsd_cluster_member_slots", Type: telemetry.Gauge,
+			Help: "Hash-space slots owned by each member under the current placement."},
+		{Name: "unsd_cluster_forwarded_ids_total", Type: telemetry.Counter,
+			Help: "Ids forwarded to each member over the cluster plane."},
+		{Name: "unsd_cluster_fallback_ids_total", Type: telemetry.Counter,
+			Help: "Ids ingested locally because their owner member was unreachable or its queue full."},
+		{Name: "unsd_cluster_sample_rpcs_total", Type: telemetry.Counter,
+			Help: "Sample exchanges attempted with each member, one per refill of its draw reservoir (over unsd_cluster_sample_fanouts_total: exchanges per Sample)."},
+		{Name: "unsd_cluster_sample_draws_discarded_total", Type: telemetry.Counter,
+			Help: "Draws fetched from each member and never served: aged out of its reservoir, or dropped with the connection they arrived on."},
 	}
 	for _, m := range st.Members {
 		label := []telemetry.Label{{Name: "member", Value: m.Addr}}
-		connected.Samples = append(connected.Samples, telemetry.Sample{Labels: label, Value: telemetry.B(m.Connected)})
-		slots.Samples = append(slots.Samples, telemetry.Sample{Labels: label, Value: float64(m.Slots)})
+		values := []float64{telemetry.B(m.Connected), float64(m.Slots), float64(m.ForwardedIDs),
+			float64(m.FallbackIDs), float64(m.SampleRPCs), float64(m.DrawsDiscarded)}
 		if m.Self {
-			continue
+			values = values[:2]
 		}
-		forwarded.Samples = append(forwarded.Samples, telemetry.Sample{Labels: label, Value: float64(m.ForwardedIDs)})
-		fallbacks.Samples = append(fallbacks.Samples, telemetry.Sample{Labels: label, Value: float64(m.FallbackIDs)})
+		for i, v := range values {
+			perMember[i].Samples = append(perMember[i].Samples, telemetry.Sample{Labels: label, Value: v})
+		}
 	}
-	return append(fams, connected, slots, forwarded, fallbacks)
+	return append(fams, perMember...)
 }

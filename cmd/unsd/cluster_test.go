@@ -2,7 +2,7 @@ package main
 
 // End-to-end tests for the clustered sampling plane: a real 3-daemon fleet
 // over TCP — rendezvous routing of ingest to slot owners, the Γ-weighted
-// cluster-wide sample fan-out (chi-square-checked under disproportionate
+// cluster-wide sample rounds (chi-square-checked under disproportionate
 // member memories), live slot-range migration through POST /migrate, client
 // failover across members, rate-capped subscriptions and decimation-phase
 // resume, all through the same wire surfaces production uses.
@@ -352,6 +352,99 @@ func TestClusterSampleMemberMissPerRound(t *testing.T) {
 	}
 	if missed := ds[0].clusterFanoutMissing.Load() - before; missed != 3 {
 		t.Fatalf("unsd_cluster_sample_member_misses_total moved by %d over three rounds, want 3", missed)
+	}
+}
+
+// TestClusterSampleWarmReservoirMemberDeath: draws cached from a member do
+// not outlive it. With member 1's reservoir at member 0 warm, member 1 dies;
+// once the disconnect is noticed no Sample returns an id that lives only
+// there, and the member is one counted miss per round like any dead one.
+func TestClusterSampleWarmReservoirMemberDeath(t *testing.T) {
+	ds, byOwner := skewedFleet(t)
+	if got := len(ds[0].sampleN(512)); got != 512 {
+		t.Fatalf("warm-up Sample returned %d draws, want 512", got)
+	}
+	dead := ds[1].cluster.Members()[1]
+	ds[1].Close()
+	waitFor(t, "member 1's connection to drop", func() bool {
+		for _, m := range ds[0].cluster.Stats().Members {
+			if m.Addr == dead && m.Connected {
+				return false
+			}
+		}
+		return true
+	})
+	gone := make(map[uint64]bool)
+	for _, id := range byOwner[1] {
+		gone[id] = true
+	}
+	before := ds[0].clusterFanoutMissing.Load()
+	draws := ds[0].sampleN(512)
+	if len(draws) != 512 {
+		t.Fatalf("Sample with a member down returned %d draws, want 512", len(draws))
+	}
+	for _, id := range draws {
+		if gone[id] {
+			t.Fatalf("id %d lives only on the dead member: served from its reservoir", id)
+		}
+	}
+	if missed := ds[0].clusterFanoutMissing.Load() - before; missed != 1 {
+		t.Fatalf("unsd_cluster_sample_member_misses_total moved by %d over one round, want 1", missed)
+	}
+}
+
+// TestClusterSampleReservoirUniform is the reservoirs' acceptance chi-square
+// at the rate they exist for: 4096 Sample(16) calls at each member of the
+// 384/96/32 fleet stay uniform over the union (df = 511, threshold as in
+// TestClusterSampleUniformDisproportionate), every member supplies its share
+// of them (4σ of the binomial at n = 65536 is under 0.008), and the asking
+// member pays for them with at most a tenth of the 8192 exchanges a
+// per-call fan-out would: the draws it needs in refills of 256, plus one
+// refill per member per 10 ms.
+func TestClusterSampleReservoirUniform(t *testing.T) {
+	ds, byOwner := skewedFleet(t)
+	owner := make(map[uint64]int)
+	for member, ids := range byOwner {
+		for _, id := range ids {
+			owner[id] = member
+		}
+	}
+	sampleRPCs := func(d *daemon) (n uint64) {
+		for _, m := range d.cluster.Stats().Members {
+			n += m.SampleRPCs
+		}
+		return n
+	}
+	const calls = 4096
+	for asked, d := range ds {
+		hist := metrics.NewHistogram()
+		counts := make([]float64, 3)
+		before := sampleRPCs(d)
+		for i := 0; i < calls; i++ {
+			draws := d.sampleN(16)
+			if len(draws) != 16 {
+				t.Fatalf("member %d, call %d: %d draws, want 16", asked, i, len(draws))
+			}
+			for _, id := range draws {
+				hist.Add(id)
+				counts[owner[id]]++
+			}
+		}
+		rpcs := sampleRPCs(d) - before
+		chi, err := hist.ChiSquareUniform(512)
+		t.Logf("member %d asked: chi2 %.0f, %d member exchanges for %d calls", asked, chi, rpcs, calls)
+		if rpcs > calls/4 {
+			t.Errorf("member %d: %d Sample(16) calls cost %d member exchanges, want at most %d", asked, calls, rpcs, calls/4)
+		}
+		for member, c := range counts {
+			got, want := c/(16*calls), float64(len(byOwner[member]))/512
+			if got < want-0.02 || got > want+0.02 {
+				t.Errorf("member %d asked: member %d supplied %.4f of the draws, its share of the union is %.4f", asked, member, got, want)
+			}
+		}
+		if err != nil || chi > 650 {
+			t.Errorf("member %d asked: not uniform over the union: chi2 = %v (df = 511), err %v", asked, chi, err)
+		}
 	}
 }
 

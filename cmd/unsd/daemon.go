@@ -38,10 +38,9 @@ type daemon struct {
 	start  time.Time
 
 	// The cluster plane (nil/zero standalone): the fleet view of
-	// internal/cluster, the merge randomness of the cluster-wide sample
-	// fan-out — one generator behind a mutex, used only on the (rare,
-	// network-bound) cluster sample path — and the fan-out counters only
-	// the daemon layer sees.
+	// internal/cluster, the quota randomness of the cluster-wide sample
+	// rounds — one generator behind a mutex, held for the quota draw only
+	// — and the request and miss counters only the daemon layer sees.
 	cluster              *cluster.Cluster
 	mergeMu              sync.Mutex
 	mergeRNG             *rng.Xoshiro

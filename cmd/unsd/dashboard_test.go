@@ -15,7 +15,8 @@ import (
 
 // TestDashboardFamiliesExported is the static gate between the committed
 // Grafana dashboard and the daemon's live exposition: every unsd_* token a
-// dashboard query mentions must resolve to a family a real daemon exports.
+// dashboard query mentions must resolve to a family a real daemon exports,
+// standalone or as a member of a fleet.
 // Rename a metric without updating dashboards/unsd.json (or vice versa) and
 // this test goes red — the dashboard can never drift into querying series
 // that do not exist.
@@ -44,22 +45,26 @@ func TestDashboardFamiliesExported(t *testing.T) {
 	}
 
 	// A live daemon with a subscriber attached exports every family group,
-	// including the per-subscription fan-out series.
+	// including the per-subscription fan-out series; a clustered member adds
+	// the unsd_cluster_* families.
 	d := testDaemon(t, defaultOptions())
 	sub, err := d.pool.Subscribe(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.pool.Unsubscribe(sub)
-	ts := httptest.NewServer(d.handler())
-	defer ts.Close()
-	s, err := loadgen.ScrapeMetrics(context.Background(), nil, ts.URL+"/metrics", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fleet, _ := testClusterDaemons(t, 2, nil)
 	exported := make(map[string]bool)
-	for _, name := range s.SortedNames() {
-		exported[name] = true
+	for _, src := range []*daemon{d, fleet[0]} {
+		ts := httptest.NewServer(src.handler())
+		defer ts.Close()
+		s, err := loadgen.ScrapeMetrics(context.Background(), nil, ts.URL+"/metrics", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range s.SortedNames() {
+			exported[name] = true
+		}
 	}
 
 	var missing []string

@@ -156,9 +156,10 @@
 //	                     placement the pool uses for its shards and
 //	                     forwarded in batches to the owning members over
 //	                     persistent framed connections, and Sample/SampleN
-//	                     fan out to the fleet, merging the members' draws
-//	                     weighted by their actual |Γ| — uniform over the
-//	                     union no matter which member answers. Requires
+//	                     deal their draws among the members by actual |Γ|,
+//	                     a share served from a reservoir of that member's
+//	                     draws (≤ 10 ms old, each served once) — uniform over
+//	                     the union whichever member answers. Requires
 //	                     -stream, -members and an explicit shared -seed.
 //	-members             comma-separated stream addresses of every member,
 //	                     this daemon's own -stream address included; every
@@ -173,7 +174,11 @@
 // broadcast to every member — the moved ids' learned frequency estimates
 // survive), /stats gains a "cluster" block (epoch, per-member connectivity
 // and forwarding accounting), and /metrics gains the unsd_cluster_*
-// families.
+// families: membership, epoch, migration and per-member forwarding
+// counters, and the sample plane — sample_fanouts_total (cluster Sample
+// requests), sample_member_misses_total, sample_rpcs_total{member} (member
+// exchanges; over fanouts: exchanges per Sample) and
+// sample_draws_discarded_total{member} (fetched, never served).
 //
 // Durability: with -snapshot-path set the daemon restores the pool from
 // the snapshot at boot (the snapshot governs shard count, memory capacity

@@ -335,10 +335,10 @@ func (s *streamServer) handle(conn net.Conn) {
 			}
 			_ = s.d.ingest(f.IDs, "forward")
 		case netgossip.FrameSampleLocal:
-			// A member's half of a cluster-wide sample fan-out: strictly
-			// local draws plus the |Γ| weight they carry in the requester's
-			// multinomial merge. Answering with d.sampleN here would fan out
-			// recursively — this frame is the recursion's base case.
+			// A refill of the requester's reservoir for this member:
+			// strictly local draws plus the |Γ| weight its cluster-wide
+			// sample rounds deal quotas by. Answering with d.sampleN here
+			// would recurse — this frame is the recursion's base case.
 			n := int(f.N)
 			if n > netgossip.MaxBatch {
 				n = netgossip.MaxBatch

@@ -2,12 +2,13 @@
 // daemon: phased id streams (uniform baseline, targeted flood, churn storm,
 // slow-trickle bias, recovery) pushed over the framed stream protocol at a
 // target rate while GET /metrics is scraped, ending in a per-phase report —
-// achieved rate, the daemon's own processed/dropped deltas, the live
-// uniformity gauge's trajectory, and client-observed latency percentiles
-// (p50/p95/p99) for the push-ack and Sample RPC round trips, measured on
-// one in -latency-sample batches. It turns the paper's evaluation into a
-// drill an operator can run against a running fleet: push the attack, watch
-// the gauge degrade, watch it recover.
+// achieved rate, the daemon's own processed/dropped deltas (and a fleet
+// member's exchanges per cluster Sample), the live uniformity gauge's
+// trajectory, and client-observed latency percentiles (p50/p95/p99) for the
+// push-ack and Sample RPC round trips, measured on one in -latency-sample
+// batches. It turns the paper's evaluation into a drill an operator can run
+// against a running fleet: push the attack, watch the gauge degrade, watch it
+// recover.
 //
 // Usage:
 //
@@ -193,6 +194,9 @@ func printReport(w io.Writer, rep loadgen.Report) {
 	if rep.HaveDeltas {
 		fmt.Fprintf(w, "  daemon: processed %+.0f, dropped %+.0f (drop fraction %.3f)\n",
 			rep.Processed, rep.Dropped, rep.DropFraction)
+	}
+	if rep.ClusterSamples > 0 {
+		fmt.Fprintf(w, "  cluster: %.0f Samples, %.2f member exchanges per Sample\n", rep.ClusterSamples, rep.MemberExchanges/rep.ClusterSamples)
 	}
 	if max, ok := rep.MaxInputKL(); ok {
 		final, _ := rep.FinalInputKL()

@@ -66,6 +66,8 @@ func metricsServer(t *testing.T) *httptest.Server {
 		fmt.Fprintf(w, "# HELP unsd_pool_processed_ids_total x\n# TYPE unsd_pool_processed_ids_total counter\nunsd_pool_processed_ids_total %d\n", n*1000)
 		fmt.Fprintf(w, "# HELP unsd_pool_dropped_ids_total x\n# TYPE unsd_pool_dropped_ids_total counter\nunsd_pool_dropped_ids_total %d\n", n)
 		fmt.Fprintf(w, "# HELP unsd_uniformity_input_kl x\n# TYPE unsd_uniformity_input_kl gauge\nunsd_uniformity_input_kl 0.25\n")
+		fmt.Fprintf(w, "# HELP unsd_cluster_sample_fanouts_total x\n# TYPE unsd_cluster_sample_fanouts_total counter\nunsd_cluster_sample_fanouts_total %d\n", n*8)
+		fmt.Fprintf(w, "# HELP unsd_cluster_sample_rpcs_total x\n# TYPE unsd_cluster_sample_rpcs_total counter\nunsd_cluster_sample_rpcs_total{member=\"a\"} %d\nunsd_cluster_sample_rpcs_total{member=\"b\"} %d\n", n, n)
 	}))
 	t.Cleanup(ts.Close)
 	return ts
@@ -92,6 +94,9 @@ func TestRunTextReport(t *testing.T) {
 	}
 	if !strings.Contains(out, "drop fraction") {
 		t.Fatalf("report missing daemon deltas:\n%s", out)
+	}
+	if !strings.Contains(out, "0.25 member exchanges per Sample") {
+		t.Fatalf("report missing the fleet member's sample plane:\n%s", out)
 	}
 	if !strings.Contains(out, "input KL max") {
 		t.Fatalf("report missing uniformity trajectory:\n%s", out)

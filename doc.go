@@ -202,7 +202,9 @@
 //     window keeps 1 id in 8 — a hashed gate, a mask and a ring store under
 //     one lock per batch; the histogram is built at scrape time.
 //   - Cluster partition (fleet members only, ~7 ns): owners counted in one
-//     pass and ids placed in a second, into one allocation per batch.
+//     pass and ids placed in a second, into one allocation per batch; a
+//     forwarded batch is encoded into its member connection's one buffer.
+//     A cluster Sample(16) beside it costs ~0.2 member exchanges, not 2.
 //   - Shard partition and hand-off (~4 ns): a counting sort into a pooled,
 //     reference-counted payload, then one enqueue per shard on a bounded
 //     MPSC ring (one CAS per producer), amortised over the sub-batch.
@@ -315,13 +317,18 @@
 // tagged with the sender's placement epoch). An undeliverable batch falls
 // back to local ingest: misplaced, never lost, and harmless to uniformity
 // because cluster-wide sampling weights members by the |Γ| they actually
-// hold. Sample and SampleN at any member fan out to the fleet and merge
-// the members' local draws by a |Γ|-weighted multinomial — the same
-// estimate-the-union trick the pool plays across its shards, and the same
-// function: rng.Quotas over member memories, in rounds of at most one
-// frame's worth of draws — so the answer is uniform over the union of
-// member memories no matter how unevenly ids are distributed, no matter
-// which member was asked, and at every n the surfaces admit.
+// hold. Sample and SampleN at any member are answered quota first: the
+// draws are dealt among the members by a |Γ|-weighted multinomial — the
+// pool's estimate-the-union trick across its shards, and the same function:
+// rng.Quotas over member memories, in rounds of at most one frame's worth
+// of draws — and each member supplies exactly its quota, the asked one from
+// its pool, the others from a reservoir of their draws the asked member
+// refills with one exchange (FrameSampleLocal: 256 draws or more, and |Γ|)
+// when it runs dry or old: uniform over the union of member memories however
+// unevenly ids are distributed, whichever member was asked, at every n. A
+// remote draw is at most 10 ms old (an id stays in Γ until the stream evicts
+// it), served once, and never outlives its connection — a member that is
+// down is a counted miss.
 //
 // Ownership moves while the fleet runs. POST /migrate on a member that
 // owns a slot range hands the range to another member: a flush barrier
@@ -332,8 +339,9 @@
 // (FramePlacementUpdate). An id's learned sketch evidence — the state the
 // paper's defence spends the attack window accumulating — survives the
 // move. The cluster plane exports its own metric families (epoch,
-// per-member connectivity, forwarded and fallback ids, sample fan-out
-// health) through the same /metrics surface, and cmd/unsload drives a
+// per-member connectivity, forwarded and fallback ids, Sample requests,
+// member exchanges, misses and discarded draws) through the same /metrics
+// surface, and cmd/unsload drives a
 // whole fleet at once (comma-separated -addr targets, per-phase reports
 // merged across members). Client-side, DialCluster rotates across member
 // addresses on reconnect, so a subscription outlives the member it

@@ -115,6 +115,8 @@ type Cluster struct {
 	closeOnce sync.Once
 	closing   chan struct{}
 	wg        sync.WaitGroup
+
+	now func() time.Time // the reservoirs' clock: time.Now outside tests
 }
 
 // New validates cfg and builds the cluster view: sorted membership, the
@@ -178,6 +180,7 @@ func New(cfg Config) (*Cluster, error) {
 		fallback: cfg.Fallback,
 		logger:   logger,
 		closing:  make(chan struct{}),
+		now:      time.Now,
 	}
 	c.table.Store(&Table{epoch: 0, owner: owner})
 	c.conns = make([]*memberConn, len(members))
@@ -369,39 +372,33 @@ func (c *Cluster) NoteMigration(in bool) {
 	}
 }
 
-// MemberDraws is one member's contribution to a cluster-wide sample
-// fan-out: n independent uniform draws from its local pool plus the |Γ|
-// weight they carry.
-type MemberDraws struct {
-	Member int
-	Addr   string
-	Gamma  uint64
-	IDs    []uint64
-	Err    error
-}
-
-// SampleMembers asks every remote member for n local draws and its |Γ|,
-// concurrently, each under the member connection's single-outstanding RPC
-// discipline. Members that are down or time out come back with Err set;
-// the caller excludes them from the weighted merge. The answers come back
-// in member order, so a seeded merge over them is reproducible.
-func (c *Cluster) SampleMembers(n int, timeout time.Duration) []MemberDraws {
-	out := make([]MemberDraws, 0, len(c.members)-1)
+// SampleMembers opens a cluster-wide sample round: every remote member's
+// |Γ| by member index (this member's own left zero for the caller), read
+// from its reservoir of draws — which costs an exchange (inline; concurrent
+// rounds share it) only when that is older than 10 ms or from an earlier
+// connection. Members down or timed out keep weight zero and count as misses.
+func (c *Cluster) SampleMembers(timeout time.Duration) (gammas []uint64, misses int) {
+	gammas = make([]uint64, len(c.members))
 	for i, mc := range c.conns {
-		if mc != nil {
-			out = append(out, MemberDraws{Member: i, Addr: c.members[i]})
+		if mc == nil {
+			continue
+		}
+		var err error
+		if _, gammas[i], err = mc.take(nil, 0, timeout); err != nil {
+			misses++
 		}
 	}
-	var wg sync.WaitGroup
-	for k := range out {
-		wg.Add(1)
-		go func(md *MemberDraws) {
-			defer wg.Done()
-			md.Gamma, md.IDs, md.Err = c.conns[md.Member].sampleLocal(n, timeout)
-		}(&out[k])
-	}
-	wg.Wait()
-	return out
+	return gammas, misses
+}
+
+// TakeDraws appends n of a remote member's draws — each uniform over its Γ,
+// at most 10 ms old, never served before and never outliving the connection
+// it arrived on — to dst, after one refill exchange when the reservoir holds
+// fewer. It falls short of n when the member's Γ is empty or concurrent
+// rounds drained the refill; the caller's next round covers it.
+func (c *Cluster) TakeDraws(member int, dst []uint64, n int, timeout time.Duration) ([]uint64, error) {
+	dst, _, err := c.conns[member].take(dst, n, timeout)
+	return dst, err
 }
 
 // MigrateTo transfers a migration blob to member and waits for its
@@ -440,6 +437,7 @@ type MemberStats struct {
 	DialFailures     uint64 `json:"dial_failures"`
 	SampleRPCs       uint64 `json:"sample_rpcs"`
 	SampleErrors     uint64 `json:"sample_errors"`
+	DrawsDiscarded   uint64 `json:"draws_discarded"`
 }
 
 // Stats is a whole-cluster health snapshot from this member's view.
@@ -476,6 +474,7 @@ func (c *Cluster) Stats() Stats {
 			ms.DialFailures = mc.dialFailures.Load()
 			ms.SampleRPCs = mc.sampleRPCs.Load()
 			ms.SampleErrors = mc.sampleErrors.Load()
+			ms.DrawsDiscarded = mc.drawsDiscarded.Load()
 		}
 		st.Members[i] = ms
 	}

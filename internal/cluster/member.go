@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nodesampling/internal/netgossip"
+	"nodesampling/internal/rng"
 )
 
 // ErrNotConnected is returned by member RPCs while the connection to that
@@ -20,6 +21,11 @@ var ErrNotConnected = errors.New("cluster: member not connected")
 // time; the connection is recycled, since a late response would otherwise
 // be mistaken for the next exchange's answer.
 var ErrRPCTimeout = errors.New("cluster: rpc timed out")
+
+// A member's cached draws are served for at most reservoirMaxAge — an id
+// stays in Γ until the stream evicts it, so a draw this young is distributed
+// as a live one — and fetched at least reservoirRefill at a time.
+const reservoirMaxAge, reservoirRefill = 10 * time.Millisecond, 256
 
 // rpcResp is one response frame (or terminal error) tagged with the
 // connection generation that produced it, the same stale-session defence
@@ -35,7 +41,7 @@ type rpcResp struct {
 // memberConn is the persistent framed connection to one remote member:
 // a dial/reconnect supervisor, a bounded forward queue drained by a writer
 // goroutine, a reader goroutine dispatching RPC responses, and the
-// single-outstanding RPC surface (sampleLocal, migrate) on top.
+// single-outstanding RPC surface (migrate, the draw reservoir's refill) on top.
 type memberConn struct {
 	c            *Cluster
 	idx          int
@@ -49,6 +55,7 @@ type memberConn struct {
 
 	mu   sync.Mutex // guards conn identity and serialises frame writes
 	conn net.Conn
+	wbuf []byte // every frame is encoded here, under mu
 
 	// gen is bumped per established connection. It is only written under
 	// mc.mu, together with conn, so a holder of mc.mu always observes a
@@ -56,10 +63,20 @@ type memberConn struct {
 	// use the atomic load.
 	gen atomic.Uint64
 
-	// rpcMu admits one request/response exchange at a time (sample or
-	// migrate), so responses need no correlation ids on the wire.
-	rpcMu sync.Mutex
-	rpcc  chan rpcResp
+	// slot admits one request/response exchange at a time (refill or
+	// migrate), so responses need no correlation ids on the wire; a channel,
+	// so that the wait for it counts against the caller's timeout.
+	slot chan struct{}
+	rpcc chan rpcResp
+
+	// The reservoir: the member's sample draws not served yet and its |Γ|, as
+	// of connection generation resGen at resAt; resPick (splitmix64) picks.
+	resMu    sync.Mutex
+	res      []uint64
+	resGamma uint64
+	resGen   uint64
+	resAt    time.Time
+	resPick  uint64
 
 	connected        atomic.Bool
 	forwardedBatches atomic.Uint64
@@ -69,6 +86,7 @@ type memberConn struct {
 	dialFailures     atomic.Uint64
 	sampleRPCs       atomic.Uint64
 	sampleErrors     atomic.Uint64
+	drawsDiscarded   atomic.Uint64
 }
 
 func newMemberConn(c *Cluster, idx int, addr string, tlsCfg *tls.Config, queue int, dialTimeout, writeTimeout time.Duration) *memberConn {
@@ -81,6 +99,7 @@ func newMemberConn(c *Cluster, idx int, addr string, tlsCfg *tls.Config, queue i
 		writeTimeout: writeTimeout,
 		q:            make(chan []uint64, queue),
 		closing:      make(chan struct{}),
+		slot:         make(chan struct{}, 1),
 		rpcc:         make(chan rpcResp, 1),
 	}
 }
@@ -223,7 +242,7 @@ func (mc *memberConn) readLoop(conn net.Conn, gen uint64, dead, done chan struct
 }
 
 // deliver hands a response to the single-slot rpc channel, evicting a
-// buffered stale one: with rpcMu admitting one exchange at a time, anything
+// buffered stale one: with the slot admitting one exchange at a time, anything
 // already buffered belongs to an abandoned or previous-session request.
 func (mc *memberConn) deliver(r rpcResp) {
 	select {
@@ -255,18 +274,35 @@ func (mc *memberConn) writeFrame(f netgossip.Frame) (uint64, error) {
 		return 0, ErrNotConnected
 	}
 	gen := mc.gen.Load()
+	buf, err := netgossip.AppendFrame(mc.wbuf[:0], f)
+	if err != nil {
+		return gen, err
+	}
+	mc.wbuf = buf
 	_ = conn.SetWriteDeadline(time.Now().Add(mc.writeTimeout))
-	err := netgossip.WriteFrame(conn, f)
+	_, err = conn.Write(buf)
 	_ = conn.SetWriteDeadline(time.Time{})
 	return gen, err
 }
 
-// rpc runs one request/response exchange: write req, wait for a response
-// of type want from the same connection generation. A timeout recycles the
-// connection (a late response must not answer the next request).
-func (mc *memberConn) rpc(req netgossip.Frame, want netgossip.FrameType, timeout time.Duration) (rpcResp, error) {
-	mc.rpcMu.Lock()
-	defer mc.rpcMu.Unlock()
+// lockSlot wins the member's one exchange slot, or gives up after timeout
+// without recycling the connection: the exchange in flight is healthy. The
+// winner's exchange has the timeout over again, from its write, as before.
+func (mc *memberConn) lockSlot(timeout time.Duration) error {
+	select {
+	case mc.slot <- struct{}{}:
+		return nil
+	case <-time.After(timeout):
+		return fmt.Errorf("%w: member %s busy", ErrRPCTimeout, mc.addr)
+	case <-mc.closing:
+		return ErrNotConnected
+	}
+}
+
+// exchange runs one request/response exchange with the slot held: write req,
+// wait for a response of type want from the same connection generation. A
+// timeout recycles the connection (a late response must not answer the next).
+func (mc *memberConn) exchange(req netgossip.Frame, want netgossip.FrameType, timeout time.Duration) (rpcResp, error) {
 	if !mc.connected.Load() {
 		return rpcResp{}, ErrNotConnected
 	}
@@ -314,22 +350,86 @@ func (mc *memberConn) dropConn(gen uint64) {
 	}
 }
 
-// sampleLocal asks the member for n uniform draws from its own pool along
-// with its current |Γ| weight.
-func (mc *memberConn) sampleLocal(n int, timeout time.Duration) (gamma uint64, ids []uint64, err error) {
+// live reports, under resMu, whether the reservoir may still be served from:
+// filled over the connection that is up now, at most reservoirMaxAge ago.
+// Draws that may not are dropped, and counted.
+func (mc *memberConn) live() bool {
+	if mc.connected.Load() && mc.resGen == mc.gen.Load() && mc.c.now().Sub(mc.resAt) <= reservoirMaxAge {
+		return true
+	}
+	mc.drawsDiscarded.Add(uint64(len(mc.res)))
+	mc.res = mc.res[:0]
+	return false
+}
+
+// take moves n draws from the reservoir to dst and returns the member's
+// cached |Γ|, after at most one refill; n = 0 only reads the weight. The
+// draws are a uniformly random subset of the reservoir, not its front: the
+// pool groups them by shard, so a prefix would favour the member's first
+// shards. Fewer than n come back when the member's Γ is empty or concurrent
+// takers drained the refill.
+func (mc *memberConn) take(dst []uint64, n int, timeout time.Duration) ([]uint64, uint64, error) {
+	mc.resMu.Lock()
+	defer mc.resMu.Unlock()
+	if !mc.live() || len(mc.res) < n {
+		if err := mc.refill(n, timeout); err != nil {
+			return dst, 0, err
+		}
+	}
+	for n = min(n, len(mc.res)); n > 0; n-- {
+		last := len(mc.res) - 1
+		k := rng.SplitMix64(&mc.resPick) % uint64(last+1) // bias under 2⁻⁵⁰
+		dst = append(dst, mc.res[k])
+		mc.res[k] = mc.res[last]
+		mc.res = mc.res[:last]
+	}
+	return dst, mc.resGamma, nil
+}
+
+// refill tops the reservoir up to need draws with one sample exchange,
+// unless a concurrent taker's refill did while this one waited for the
+// slot. What is left of a live reservoir stays, and keeps its age. Called
+// and returning with resMu held — released while it waits, but not between
+// filling the reservoir and the caller's serving from it, so that what an
+// exchange just brought is never found too old.
+func (mc *memberConn) refill(need int, timeout time.Duration) error {
+	mc.resMu.Unlock()
+	err := mc.lockSlot(timeout)
+	mc.resMu.Lock()
+	if err != nil {
+		return err
+	}
+	defer func() { <-mc.slot }()
+	if mc.live() && len(mc.res) >= need {
+		return nil
+	}
 	mc.sampleRPCs.Add(1)
-	r, err := mc.rpc(netgossip.Frame{Type: netgossip.FrameSampleLocal, N: uint32(n)}, netgossip.FrameSampleLocalResp, timeout)
+	req := netgossip.Frame{Type: netgossip.FrameSampleLocal, N: uint32(min(max(need-len(mc.res), reservoirRefill), netgossip.MaxBatch))}
+	mc.resMu.Unlock()
+	r, err := mc.exchange(req, netgossip.FrameSampleLocalResp, timeout)
+	mc.resMu.Lock()
 	if err != nil {
 		mc.sampleErrors.Add(1)
-		return 0, nil, err
+		return err
 	}
-	return r.token, r.ids, nil
+	if !mc.live() { // which emptied it
+		mc.resGen, mc.resAt = r.gen, mc.c.now()
+	}
+	mc.res, mc.resGamma = append(mc.res, r.ids...), r.token
+	if r.gen != mc.gen.Load() || !mc.connected.Load() { // it went away under the exchange
+		return ErrNotConnected
+	}
+	return nil
 }
 
 // migrate transfers a migration blob and waits for the ack carrying the
 // placement epoch the target installed.
 func (mc *memberConn) migrate(blob []byte, timeout time.Duration) (uint64, error) {
-	r, err := mc.rpc(netgossip.Frame{Type: netgossip.FrameMigrateState, Blob: blob}, netgossip.FrameMigrateAck, timeout)
+	if err := mc.lockSlot(timeout); err != nil {
+		return 0, err
+	}
+	defer func() { <-mc.slot }()
+	r, err := mc.exchange(netgossip.Frame{Type: netgossip.FrameMigrateState, Blob: blob}, netgossip.FrameMigrateAck, timeout)
 	if err != nil {
 		return 0, err
 	}

@@ -101,6 +101,9 @@ type Report struct {
 	Dropped      float64 // unsd_pool_dropped_ids_total delta
 	DropFraction float64 // Dropped / (Processed + Dropped), 0 when idle
 	HaveDeltas   bool
+	// A fleet member's sample plane (0 from a standalone target).
+	ClusterSamples  float64 // unsd_cluster_sample_fanouts_total delta
+	MemberExchanges float64 // unsd_cluster_sample_rpcs_total delta, all members
 
 	// Client-observed latency percentiles (Config.LatencySample): the
 	// push-ack round trip and the Sample RPC round trip, as a caller on
@@ -316,6 +319,11 @@ func (g *Generator) runPhase(ctx context.Context, ph Phase) (Report, error) {
 			}
 			rep.HaveDeltas = true
 		}
+		f0, _ := first.Sum("unsd_cluster_sample_fanouts_total")
+		f1, _ := last.Sum("unsd_cluster_sample_fanouts_total")
+		x0, _ := first.Sum("unsd_cluster_sample_rpcs_total")
+		x1, _ := last.Sum("unsd_cluster_sample_rpcs_total")
+		rep.ClusterSamples, rep.MemberExchanges = f1-f0, x1-x0
 	}
 	return rep, nil
 }

@@ -101,6 +101,10 @@ func metricsStub(t *testing.T, wantToken string) (*httptest.Server, *atomic.Uint
 		fmt.Fprintf(w, "# HELP unsd_pool_processed_ids_total x\n# TYPE unsd_pool_processed_ids_total counter\nunsd_pool_processed_ids_total %d\n", n*100)
 		fmt.Fprintf(w, "# HELP unsd_pool_dropped_ids_total x\n# TYPE unsd_pool_dropped_ids_total counter\nunsd_pool_dropped_ids_total %d\n", n*25)
 		fmt.Fprintf(w, "# HELP unsd_uniformity_input_kl x\n# TYPE unsd_uniformity_input_kl gauge\nunsd_uniformity_input_kl %g\n", 0.5+float64(n))
+		// A fleet member's sample plane: 40 cluster Samples per scrape, 4
+		// exchanges with each of two members.
+		fmt.Fprintf(w, "# HELP unsd_cluster_sample_fanouts_total x\n# TYPE unsd_cluster_sample_fanouts_total counter\nunsd_cluster_sample_fanouts_total %d\n", n*40)
+		fmt.Fprintf(w, "# HELP unsd_cluster_sample_rpcs_total x\n# TYPE unsd_cluster_sample_rpcs_total counter\nunsd_cluster_sample_rpcs_total{member=\"a\"} %d\nunsd_cluster_sample_rpcs_total{member=\"b\"} %d\n", n*4, n*4)
 	}))
 	t.Cleanup(ts.Close)
 	return ts, &hits
@@ -158,6 +162,9 @@ func TestGeneratorPushesAndScrapes(t *testing.T) {
 		}
 		if rep.DropFraction < 0.19 || rep.DropFraction > 0.21 {
 			t.Fatalf("phase %s drop fraction %v, want 0.2 (stub serves 4:1)", rep.Name, rep.DropFraction)
+		}
+		if rep.ClusterSamples <= 0 || rep.MemberExchanges/rep.ClusterSamples != 0.2 {
+			t.Fatalf("phase %s: %v cluster Samples, %v member exchanges, want 0.2 per Sample (stub serves 8:40)", rep.Name, rep.ClusterSamples, rep.MemberExchanges)
 		}
 		if kl, ok := rep.MaxInputKL(); !ok || kl <= 0 {
 			t.Fatalf("phase %s input KL trajectory missing (kl=%v ok=%v)", rep.Name, kl, ok)

@@ -62,8 +62,8 @@ func RunMulti(ctx context.Context, gens []*Generator, phases [][]Phase) ([]Repor
 }
 
 // MergeReports folds per-target reports of the same phase into one fleet
-// report: offered ids and scrape counts sum, the duration is the slowest
-// target's (the fleet is done when its last member is), the achieved rate
+// report: offered ids, scrape counts and counter deltas sum, the duration is
+// the slowest target's (the fleet is done when its last member is), the rate
 // is the fleet's aggregate push rate, and the gauge trajectories interleave
 // in elapsed order — each point is one member's /metrics view at that
 // moment. Latency summaries merge conservatively: counts sum, percentiles
@@ -84,6 +84,8 @@ func MergeReports(reports []Report) Report {
 		out.Gauge = append(out.Gauge, r.Gauge...)
 		out.Processed += r.Processed
 		out.Dropped += r.Dropped
+		out.ClusterSamples += r.ClusterSamples
+		out.MemberExchanges += r.MemberExchanges
 		if !r.HaveDeltas {
 			out.HaveDeltas = false
 		}

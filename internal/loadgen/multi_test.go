@@ -18,6 +18,7 @@ func TestMergeReports(t *testing.T) {
 			{Elapsed: 30 * time.Millisecond, InputKL: 0.7, HasIn: true},
 		},
 		Processed: 80, Dropped: 20, HaveDeltas: true,
+		ClusterSamples: 100, MemberExchanges: 20,
 		PushAck:   LatencySummary{Count: 4, P50: 1 * time.Millisecond, P95: 2 * time.Millisecond, P99: 3 * time.Millisecond, Max: 4 * time.Millisecond},
 		SampleRPC: LatencySummary{Count: 2, P50: 5 * time.Millisecond, P95: 6 * time.Millisecond, P99: 7 * time.Millisecond, Max: 8 * time.Millisecond},
 	}
@@ -28,6 +29,7 @@ func TestMergeReports(t *testing.T) {
 			{Elapsed: 20 * time.Millisecond, InputKL: 0.9, HasIn: true},
 		},
 		Processed: 40, Dropped: 10, HaveDeltas: true,
+		ClusterSamples: 50, MemberExchanges: 40,
 		PushAck:   LatencySummary{Count: 1, P50: 9 * time.Millisecond, P95: 9 * time.Millisecond, P99: 9 * time.Millisecond, Max: 9 * time.Millisecond},
 		SampleRPC: LatencySummary{Count: 3, P50: 1 * time.Millisecond, P95: 2 * time.Millisecond, P99: 9 * time.Millisecond, Max: 3 * time.Millisecond},
 	}
@@ -43,6 +45,9 @@ func TestMergeReports(t *testing.T) {
 	}
 	if m.Processed != 120 || m.Dropped != 30 || !m.HaveDeltas {
 		t.Fatalf("merged deltas %+v", m)
+	}
+	if m.ClusterSamples != 150 || m.MemberExchanges != 60 {
+		t.Fatalf("merged sample plane %v Samples / %v exchanges, want 150 / 60", m.ClusterSamples, m.MemberExchanges)
 	}
 	if m.DropFraction != 30.0/150.0 {
 		t.Fatalf("merged drop fraction %v", m.DropFraction)
