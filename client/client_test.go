@@ -425,6 +425,11 @@ func TestClientReconnectGivesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// As in TestClientNoReconnectByDefault: without the Pong, a kill landing
+	// between the accept and its registration leaves the connection served.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	srv.kill()
 	select {
 	case <-c.done:

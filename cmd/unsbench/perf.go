@@ -64,9 +64,11 @@ var perfSuite = []struct {
 	{"PoolSubscribeFanout/subs=16", "ns/id", func(b *testing.B) { perfPoolFanout(b, 16) }},
 	{"ControllerTick", "ns/op", perfControllerTick},
 	{"SketchAddEstimate/fused", "ns/op", perfSketchAdd},
-	{"SketchAddEstimate/k50s10", "ns/op", func(b *testing.B) { perfDaemonPoint(b, "sketch") }},
-	{"KnowledgeFreeProcessBatch/c25k50s10", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "sampler") }},
-	{"UniformityProbeOffer", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "probe") }},
+	{"SketchAddEstimate/k50s10", "ns/op", func(b *testing.B) { perfDaemonPoint(b, "sketch", false) }},
+	{"SketchAddEstimate/k50s10-flood", "ns/op", func(b *testing.B) { perfDaemonPoint(b, "sketch", true) }},
+	{"KnowledgeFreeProcessBatch/c25k50s10", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "sampler", false) }},
+	{"KnowledgeFreeProcessBatch/c25k50s10-flood", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "sampler", true) }},
+	{"UniformityProbeOffer", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "probe", false) }},
 	{"BasaltProcess", "ns/id", perfBasaltProcess},
 }
 
@@ -92,8 +94,11 @@ func perfSketchAdd(b *testing.B) {
 // operating point — unsd's default -c 25 -k 50 -s 10 and 4096-id uniformity
 // window decimated 1-in-8, fed 1024-id batches uniform over 100 000 ids, as
 // benchmark/'s ingest_saturate feeds them — so this artifact and the
-// socket-to-socket benchmark price the same step.
-func perfDaemonPoint(b *testing.B, layer string) {
+// socket-to-socket benchmark price the same step. With flood set, 80 % of
+// the ids are one victim and the rest uniform over 4 096, the paper's
+// targeted attack as benchmark/'s sigma_fanout feeds it: back-to-back
+// repeats of one id, which a uniform input almost never has.
+func perfDaemonPoint(b *testing.B, layer string, flood bool) {
 	sk, err := cms.NewWithDimensions(50, 10, rng.New(7))
 	if err != nil {
 		b.Fatal(err)
@@ -108,7 +113,14 @@ func perfDaemonPoint(b *testing.B, layer string) {
 	for i := range batches {
 		batches[i] = make([]uint64, 1024)
 		for j := range batches[i] {
-			batches[i][j] = r.Uint64n(100000)
+			switch {
+			case !flood:
+				batches[i][j] = r.Uint64n(100000)
+			case r.Float64() < 0.8:
+				batches[i][j] = 0 // the victim
+			default:
+				batches[i][j] = r.Uint64n(4096)
+			}
 		}
 	}
 	b.ResetTimer()

@@ -65,12 +65,13 @@ func TestPerfFilterValidation(t *testing.T) {
 
 // TestPerfSuiteCoversTheTrackedPaths pins the suite composition: the
 // artifact must track PushBatch across shard counts, the fan-out plane,
-// and the autoscale controller tick.
+// the autoscale controller tick, and the per-id step under a flood.
 func TestPerfSuiteCoversTheTrackedPaths(t *testing.T) {
 	want := []string{
 		"PoolPushBatch/shards=1", "PoolPushBatch/shards=4", "PoolPushBatch/shards=8",
 		"PoolSubscribeFanout/subs=0", "PoolSubscribeFanout/subs=16",
 		"ControllerTick",
+		"SketchAddEstimate/k50s10-flood", "KnowledgeFreeProcessBatch/c25k50s10-flood",
 	}
 	names := make(map[string]bool, len(perfSuite))
 	for _, b := range perfSuite {

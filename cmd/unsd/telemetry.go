@@ -46,9 +46,12 @@ func (d *daemon) ingest(ids []uint64, surface string) error {
 // flood's cost while sampling the stream's composition uniformly.
 const uniformityInputEvery = 8
 
-// outputProbeDraws is how many σ′-equivalent draws refresh the output
-// window per scrape. Drawn via SampleN at scrape time — distributionally
-// identical to the hub's σ′ stream, with zero cost between scrapes.
+// outputProbeDraws is how many draws refresh the output window per scrape.
+// They come from SampleN at scrape time, at zero cost between scrapes, so
+// the window measures the Γ-weighted union that Sample serves, not the hub's
+// σ′ stream: each shard emits σ′ from its own Γ at its ingest share, and
+// under an 8-shard flood the two read 0.36 and 0.83 of their draws on the
+// busiest eighth of the ids. ROADMAP item J3 moves the window onto σ′.
 const outputProbeDraws = 256
 
 // handleMetrics serves the Prometheus exposition. The output-side

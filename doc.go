@@ -217,6 +217,18 @@
 //     last counter moves (~4 ns amortised).
 //   - Admission (~15 ns): the Γ membership scan (~6 ns at c = 25), the
 //     Bernoulli draw and, on a uniform stream, an eviction for most ids.
+//   - Under the paper's targeted flood (80 % of ids one victim, so about two
+//     arrivals in three repeat the id before them) a repeated id skips both
+//     the s row hashes and the Γ scan: the sketch remembers whose columns
+//     its scratch holds, and Γ its last membership answer (BENCH_32.json:
+//     KnowledgeFreeProcessBatch/c25k50s10-flood 63 → 37 ns/id; end to end,
+//     sigma_fanout daemon CPU 203 → 157 ns/id). Both memos are exact, so σ′
+//     is bit-identical: only a new hash family (UnmarshalBinary) drops the
+//     columns, and installing or evicting the remembered id updates the
+//     answer. Unlike the rejected counting signature below, their upkeep is
+//     two compares per mutation, not a rebuild. A uniform stream pays a
+//     compare per id for each: ~3 ns on the in-process sketch row, not
+//     visible end to end on ingest_saturate.
 //
 // Measured and rejected, all bit-identical and none a gain here: a fused
 // hash-and-increment loop and a two-pass branch-free minimum rescan (both

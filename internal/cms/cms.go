@@ -34,7 +34,12 @@ type Sketch struct {
 	total   uint64 // number of Add calls (stream length m)
 	gMin    uint64 // cached min over all counters
 	gMinCnt int    // how many counters currently equal gMin
-	scratch []int  // per-row column cache for the one-pass CM-CU update
+	scratch []int  // per-row columns of memo, shared by every hash pass
+	// memo is the id whose columns scratch holds, valid while memoOK: a
+	// flood repeats one id back to back, and under one hash family its
+	// columns never change, so the repeat skips the hash pass.
+	memo   uint64
+	memoOK bool
 }
 
 // New creates a sketch from the accuracy targets of Algorithm 2:
@@ -116,7 +121,7 @@ func (sk *Sketch) Add(id uint64) { sk.AddEstimate(id) }
 // bit-identical.
 func (sk *Sketch) AddEstimate(id uint64) uint64 {
 	sk.total++
-	sk.hashes.Columns(id, sk.scratch)
+	sk.columns(id)
 	est := ^uint64(0)
 	gMin := sk.gMin
 	counts := sk.counts
@@ -155,7 +160,7 @@ func (sk *Sketch) AddConservative(id uint64) { sk.AddConservativeEstimate(id) }
 // for both the estimate and the update.
 func (sk *Sketch) AddConservativeEstimate(id uint64) uint64 {
 	sk.total++
-	sk.hashes.Columns(id, sk.scratch)
+	sk.columns(id)
 	est := ^uint64(0)
 	for row := 0; row < sk.rows; row++ {
 		if v := sk.counts[row*sk.cols+sk.scratch[row]]; v < est {
@@ -203,7 +208,7 @@ func (sk *Sketch) rescanMin() {
 // minimum of its counters across rows (Algorithm 2, line 8). The estimate
 // never underestimates the true count.
 func (sk *Sketch) Estimate(id uint64) uint64 {
-	sk.hashes.Columns(id, sk.scratch)
+	sk.columns(id)
 	est := ^uint64(0)
 	for row := 0; row < sk.rows; row++ {
 		if v := sk.counts[row*sk.cols+sk.scratch[row]]; v < est {
@@ -211,6 +216,15 @@ func (sk *Sketch) Estimate(id uint64) uint64 {
 		}
 	}
 	return est
+}
+
+// columns fills scratch with id's column in every row, unless it already
+// holds them.
+func (sk *Sketch) columns(id uint64) {
+	if id != sk.memo || !sk.memoOK {
+		sk.hashes.Columns(id, sk.scratch)
+		sk.memo, sk.memoOK = id, true
+	}
 }
 
 // GlobalMin returns minσ, the minimum counter value over the entire matrix,

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -493,6 +494,102 @@ func TestFusedMatchesReference(t *testing.T) {
 		for id := uint64(0); id < 600; id++ {
 			if fused.Estimate(id) != ref.Estimate(id) {
 				t.Fatalf("mode %v: final estimate mismatch for id %d", mode, id)
+			}
+		}
+	}
+}
+
+// estimateReference is Estimate over the per-row reference hash path.
+func (sk *Sketch) estimateReference(id uint64) uint64 {
+	est := ^uint64(0)
+	for row := 0; row < sk.rows; row++ {
+		if v := sk.counts[row*sk.cols+sk.hashes.Hash(row, id)]; v < est {
+			est = v
+		}
+	}
+	return est
+}
+
+// TestColumnMemoMatchesReference pins the remembered columns under the
+// paper's flood, 80 % of arrivals one id, where the memo serves most
+// arrivals (TestFusedMatchesReference draws over 500 ids, so its memo hits
+// ~0.2 % of the time). Between arrivals it interleaves every other
+// operation on the sketch — conservative adds, estimates of other ids,
+// Halve, Merge, Reset — and UnmarshalBinary into a sketch whose memo holds
+// the victim hashed under a different family. After every step the sketch
+// must agree with a clone driven through the reference hash path: same
+// estimate, same global minimum, same counters.
+func TestColumnMemoMatchesReference(t *testing.T) {
+	const victim = 7
+	for _, mode := range []hashing.Mode{hashing.ModeModulo, hashing.ModeFastrange} {
+		sk, err := NewWithDimensionsMode(50, 10, rng.New(101), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := sk.Clone()
+		peer := sk.CloneEmpty()
+		r := rng.New(102)
+		for step := 0; step < 40000; step++ {
+			id := r.Uint64n(4096)
+			if r.Float64() < 0.8 {
+				id = victim
+			}
+			var op string
+			var got, want uint64
+			switch x := r.Intn(1000); {
+			case x < 600:
+				op, got, want = "AddEstimate", sk.AddEstimate(id), ref.addEstimateReference(id)
+			case x < 800:
+				// The reference runs the conservative rule with its memo
+				// forgotten, so it hashes every arrival afresh.
+				ref.memoOK = false
+				op, got, want = "AddConservativeEstimate", sk.AddConservativeEstimate(id), ref.AddConservativeEstimate(id)
+			case x < 950:
+				other := r.Uint64n(4096)
+				op, got, want = "Estimate", sk.Estimate(other), ref.estimateReference(other)
+			case x < 970:
+				sk.Halve()
+				ref.Halve()
+				op = "Halve"
+			case x < 990:
+				for i := 0; i < 64; i++ {
+					peer.Add(r.Uint64n(4096))
+				}
+				if err := sk.Merge(peer); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Merge(peer); err != nil {
+					t.Fatal(err)
+				}
+				op = "Merge"
+			case x < 995:
+				sk.Reset()
+				ref.Reset()
+				op = "Reset"
+			default:
+				foreign, err := NewWithDimensionsMode(50, 10, rng.New(uint64(1000+step)), mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				foreign.AddEstimate(victim) // remember the victim's columns under another family
+				blob, err := sk.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := foreign.UnmarshalBinary(blob); err != nil {
+					t.Fatal(err)
+				}
+				sk = foreign
+				op = "UnmarshalBinary"
+			}
+			if got != want {
+				t.Fatalf("mode %v step %d %s: estimate %d, reference %d", mode, step, op, got, want)
+			}
+			if e, er := sk.Estimate(victim), ref.estimateReference(victim); e != er {
+				t.Fatalf("mode %v step %d after %s: victim estimate %d, reference %d", mode, step, op, e, er)
+			}
+			if sk.GlobalMin() != ref.GlobalMin() || sk.Total() != ref.Total() || !slices.Equal(sk.counts, ref.counts) {
+				t.Fatalf("mode %v step %d after %s: sketch diverged from the reference", mode, step, op)
 			}
 		}
 	}

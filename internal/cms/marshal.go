@@ -126,6 +126,7 @@ func (sk *Sketch) UnmarshalBinary(data []byte) error {
 	sk.hashes = fam
 	sk.counts = counts
 	sk.scratch = make([]int, int(rows))
+	sk.memoOK = false // new family: the remembered columns no longer apply
 	sk.rescanMin()
 	return nil
 }

@@ -124,6 +124,11 @@ type gamma struct {
 	items []uint64
 	index map[uint64]int // nil below gammaScanThreshold: scanning wins
 	cap   int
+	// last and lastIn remember the latest membership answer, because a
+	// flood asks about one id over and over. add and replace keep it exact;
+	// the zero value (id 0, absent) is exact for the empty memory.
+	last   uint64
+	lastIn bool
 }
 
 func newGamma(c int) gamma {
@@ -138,16 +143,22 @@ func newGamma(c int) gamma {
 }
 
 func (g *gamma) contains(id uint64) bool {
-	if g.index != nil {
-		_, ok := g.index[id]
-		return ok
+	if id == g.last {
+		return g.lastIn
 	}
-	for _, v := range g.items {
-		if v == id {
-			return true
+	in := false
+	if g.index != nil {
+		_, in = g.index[id]
+	} else {
+		for _, v := range g.items {
+			if v == id {
+				in = true
+				break
+			}
 		}
 	}
-	return false
+	g.last, g.lastIn = id, in
+	return in
 }
 
 func (g *gamma) full() bool { return len(g.items) == g.cap }
@@ -159,6 +170,9 @@ func (g *gamma) add(id uint64) {
 		g.index[id] = len(g.items)
 	}
 	g.items = append(g.items, id)
+	if id == g.last {
+		g.lastIn = true
+	}
 }
 
 // replace evicts the element at index i and installs id in its place.
@@ -169,6 +183,12 @@ func (g *gamma) replace(i int, id uint64) (evicted uint64) {
 		g.index[id] = i
 	}
 	g.items[i] = id
+	switch g.last {
+	case id:
+		g.lastIn = true
+	case evicted:
+		g.lastIn = false
+	}
 	return evicted
 }
 
