@@ -9,14 +9,15 @@
 //	unsattack -k 50 -s 10 -eta 1e-4
 //	unsattack -k 50 -s 10 -eta 0.1 -verify -trials 2000
 //	unsattack -tournament
-//	unsattack -tournament -json -strategy basalt -population 512
+//	unsattack -tournament -json -population 512
 //
 // With -verify, the theoretical thresholds are checked empirically against
-// freshly drawn 2-universal hash families. With -tournament, every
-// registered sampling strategy (or just -strategy) is run against the four
-// adversarial input models — targeted flood, ballot stuffing, churn storm,
-// slow trickle — and scored with the windowed KL divergence and G_KL gain,
-// as a text table or JSON (-json).
+// freshly drawn 2-universal hash families. With -tournament, the
+// knowledge-free sampler is run against the four adversarial input models —
+// targeted flood, ballot stuffing, churn storm, slow trickle — and scored
+// with the windowed KL divergence and G_KL gain, as a text table or JSON
+// (-json). The tournament runs at its own reference point (16×4 sketch);
+// -k and -s override it only when given explicitly.
 package main
 
 import (
@@ -24,10 +25,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"nodesampling/internal/adversary"
-	"nodesampling/internal/core"
 	"nodesampling/internal/rng"
 	"nodesampling/internal/urn"
 )
@@ -48,9 +47,8 @@ func run(args []string, w io.Writer) error {
 		verify   = fs.Bool("verify", false, "empirically verify the thresholds")
 		trials   = fs.Int("trials", 2000, "trials for -verify")
 		seed     = fs.Uint64("seed", 1, "seed for -verify and -tournament")
-		tourn    = fs.Bool("tournament", false, "run every sampling strategy against the four attack models and print the score table")
+		tourn    = fs.Bool("tournament", false, "run the knowledge-free sampler against the four attack models and print the score table")
 		jsonOut  = fs.Bool("json", false, "emit the -tournament result as JSON instead of text")
-		strategy = fs.String("strategy", "", "restrict -tournament to one strategy, one of: "+strings.Join(core.Strategies(), ", ")+" (empty runs all)")
 		pop      = fs.Int("population", 0, "-tournament honest population size (0 uses the default)")
 		ids      = fs.Int("ids", 0, "-tournament stream length per cell (0 uses the default)")
 		window   = fs.Int("window", 0, "-tournament scoring window in ids (0 uses the default)")
@@ -60,7 +58,22 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if *tourn {
-		return runTournament(w, *strategy, *pop, *ids, *window, *capacity, *k, *s, *seed, *jsonOut)
+		cfg := adversary.TournamentConfig{
+			Population: *pop, Ids: *ids, Window: *window,
+			Capacity: *capacity, Seed: *seed,
+		}
+		// -k and -s default to the effort calculator's 50×10, at which the
+		// tournament's 256-id population freezes Γ: pass them on only when
+		// given, so the tournament otherwise runs at its own 16×4.
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "k":
+				cfg.K = *k
+			case "s":
+				cfg.S = *s
+			}
+		})
+		return runTournament(w, cfg, *jsonOut)
 	}
 	plan, err := adversary.NewPlan(*k, *s, *eta)
 	if err != nil {
@@ -94,20 +107,9 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runTournament runs the strategy-vs-attack tournament and writes the
-// table (or JSON). Every sampler is built through the strategy registry,
-// so -strategy accepts exactly the names unsd does.
-func runTournament(w io.Writer, strategy string, pop, ids, window, capacity, k, s int, seed uint64, jsonOut bool) error {
-	cfg := adversary.TournamentConfig{
-		Population: pop, Ids: ids, Window: window,
-		Capacity: capacity, K: k, S: s, Seed: seed,
-	}
-	if strategy != "" {
-		if _, err := core.NewFactory(strategy, core.StrategyParams{}); err != nil {
-			return err
-		}
-		cfg.Strategies = []string{strategy}
-	}
+// runTournament runs the knowledge-free sampler's attack table and writes
+// it as text (or JSON).
+func runTournament(w io.Writer, cfg adversary.TournamentConfig, jsonOut bool) error {
 	res, err := adversary.RunTournament(cfg)
 	if err != nil {
 		return err
@@ -116,7 +118,7 @@ func runTournament(w io.Writer, strategy string, pop, ids, window, capacity, k, 
 		return res.WriteJSON(w)
 	}
 	c := res.Config
-	fmt.Fprintf(w, "tournament: population %d, memory c=%d, sketch %dx%d, %d ids in windows of %d, decay every %d\n",
+	fmt.Fprintf(w, "tournament: knowledge-free sampler, population %d, memory c=%d, sketch %dx%d, %d ids in windows of %d, decay every %d\n",
 		c.Population, c.Capacity, c.K, c.S, c.Ids, c.Window, c.DecayEvery)
 	fmt.Fprintf(w, "G_KL = 1 - D(output||U)/D(input||U): 1 removes all attack bias, 0 none, negative amplifies it.\n\n")
 	return res.WriteTable(w)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -54,7 +55,7 @@ func TestBadParameters(t *testing.T) {
 }
 
 // TestStrategyTournamentText runs the small tournament end to end and
-// checks the text table lists every registered strategy × attack cell.
+// checks the text table lists every attack.
 func TestStrategyTournamentText(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-tournament", "-population", "64", "-capacity", "16",
@@ -63,7 +64,7 @@ func TestStrategyTournamentText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"G_KL", "knowledge-free", "basalt",
+	for _, want := range []string{"G_KL", "knowledge-free",
 		"targeted-flood", "ballot-stuffing", "churn-storm", "slow-trickle"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("tournament table missing %q:\n%s", want, out)
@@ -71,35 +72,58 @@ func TestStrategyTournamentText(t *testing.T) {
 	}
 }
 
-// TestStrategyTournamentJSONAndFilter checks -json output and the
-// -strategy filter, which must resolve through the shared registry.
+// TestStrategyTournamentJSONAndFilter checks -json output, that explicit -k
+// and -s reach the tournament, and that the retired -strategy filter is no
+// longer a flag.
 func TestStrategyTournamentJSONAndFilter(t *testing.T) {
 	var sb strings.Builder
-	err := run([]string{"-tournament", "-json", "-strategy", "basalt",
+	err := run([]string{"-tournament", "-json", "-k", "12", "-s", "3",
 		"-population", "64", "-capacity", "16", "-ids", "4096", "-window", "1024"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res struct {
-		Cells []struct {
-			Strategy string `json:"strategy"`
-			Attack   string `json:"attack"`
+		Config struct{ K, S int } `json:"config"`
+		Cells  []struct {
+			Attack string `json:"attack"`
 		} `json:"cells"`
 	}
 	if err := json.Unmarshal([]byte(sb.String()), &res); err != nil {
 		t.Fatalf("tournament JSON does not parse: %v\n%s", err, sb.String())
 	}
 	if len(res.Cells) != 4 {
-		t.Fatalf("filtered tournament has %d cells, want 4", len(res.Cells))
+		t.Fatalf("tournament has %d cells, want 4", len(res.Cells))
 	}
-	for _, c := range res.Cells {
-		if c.Strategy != "basalt" {
-			t.Fatalf("cell for strategy %q leaked past the -strategy filter", c.Strategy)
+	if res.Config.K != 12 || res.Config.S != 3 {
+		t.Fatalf("explicit -k 12 -s 3 ran a %dx%d sketch", res.Config.K, res.Config.S)
+	}
+	if err := run([]string{"-tournament", "-strategy", "basalt"}, &sb); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-strategy: error %v, want a flag-parsing failure", err)
+	}
+}
+
+// TestTournamentReferencePointByDefault: with no sketch flags the tournament
+// runs at its 16×4 reference point, not the effort calculator's 50×10 (at
+// which the 256-id population freezes Γ and every output KL reads ln 8), and
+// the knowledge-free sampler strips most of the targeted flood.
+func TestTournamentReferencePointByDefault(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-tournament"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "sketch 16x4") {
+		t.Fatalf("default tournament did not run at 16x4:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 5 && f[0] == "targeted-flood" {
+			if gain, err := strconv.ParseFloat(f[3], 64); err != nil || gain <= 0.5 {
+				t.Fatalf("targeted-flood G_KL %q, want > 0.5:\n%s", f[3], out)
+			}
+			return
 		}
 	}
-	if err := run([]string{"-tournament", "-strategy", "no-such"}, &sb); err == nil {
-		t.Error("unknown -strategy should fail")
-	} else if !strings.Contains(err.Error(), "no-such") {
-		t.Errorf("error %v does not name the unknown strategy", err)
-	}
+	t.Fatalf("no targeted-flood row:\n%s", out)
 }

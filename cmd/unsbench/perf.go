@@ -69,7 +69,6 @@ var perfSuite = []struct {
 	{"KnowledgeFreeProcessBatch/c25k50s10", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "sampler", false) }},
 	{"KnowledgeFreeProcessBatch/c25k50s10-flood", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "sampler", true) }},
 	{"UniformityProbeOffer", "ns/id", func(b *testing.B) { perfDaemonPoint(b, "probe", false) }},
-	{"BasaltProcess", "ns/id", perfBasaltProcess},
 }
 
 // perfSink defeats dead-code elimination of the measured loops' results.
@@ -206,19 +205,6 @@ func runPerf(w io.Writer, outPath, filter string, runs int) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
-}
-
-// perfBasaltProcess measures the BASALT strategy's per-id ingest: the
-// seeded-ranking admission over 25 slots under a 1000-id stream.
-func perfBasaltProcess(b *testing.B) {
-	s, err := core.NewBasalt(25, rng.New(7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		perfSink += s.Process(uint64(i % 1000))
-	}
 }
 
 // perfPoolPushBatch mirrors bench_test.go's benchPoolPushBatch: batch

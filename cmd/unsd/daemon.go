@@ -221,10 +221,7 @@ func newDaemon(o options) (*daemon, error) {
 	}
 	d.uniformity = telemetry.NewUniformity(o.uniformityWindow, uniformityInputEvery)
 	d.tracer = spans.New(o.traceSample, traceRingSize)
-	// The sampler strategy resolves against the core registry, so every
-	// place the daemon builds a sampler honours -strategy; an unknown name
-	// fails here with the registered names listed.
-	factory, err := core.NewFactory(o.strategy, core.StrategyParams{K: o.k, S: o.s})
+	factory, err := core.NewFactory(core.DefaultStrategy, core.StrategyParams{K: o.k, S: o.s})
 	if err != nil {
 		return nil, err
 	}

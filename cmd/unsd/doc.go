@@ -1,8 +1,8 @@
 // Command unsd is the uniform node sampling daemon: the deployable,
 // high-throughput form of the paper's sampling service. It absorbs node
 // identifiers from two directions — PushBatch frames on the stream
-// listener (clients of the client package and gossiping netgossip peers
-// alike: the overlay's σ streams) and POST /push over HTTP — into a sharded
+// listener (clients of the client package and gossiping nodes alike: the
+// overlay's σ streams) and POST /push over HTTP — into a sharded
 // sampling pool, and serves uniform samples, the pooled memory Γ, the
 // continuous output stream σ′ and operational statistics.
 //

@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/tls"
 	"encoding/json"
+	"net"
 	"net/http"
 	"testing"
 	"time"
@@ -10,11 +11,11 @@ import (
 	"nodesampling/internal/netgossip"
 )
 
-// TestGossipListenerTLS: gossiping peers dial the stream listener, so they
+// TestGossipListenerTLS: gossiping nodes dial the stream listener, so they
 // meet its TLS plane (mutual TLS under -tls-client-ca) like every other
 // framed connection. A plaintext gossiper and a certificate-less TLS
 // gossiper are both turned away before a single id reaches the pool; a
-// peer presenting a certificate chained to the daemon's CA feeds it.
+// node presenting a certificate chained to the daemon's CA feeds it.
 func TestGossipListenerTLS(t *testing.T) {
 	kit := newCertKit(t)
 	ctx, cancel := testContext(t)
@@ -50,19 +51,22 @@ func TestGossipListenerTLS(t *testing.T) {
 	// Plaintext gossiper: the TLS listener must shut the connection during
 	// the handshake, so pushing either errors or lands nowhere. A bounded
 	// burst is enough — the /stats assertion below is the real check.
-	plain, err := netgossip.NewPeer(netgossip.Config{Self: 7, C: 10, K: 8, S: 4, Fanout: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	push := func(id uint64) []byte {
+		frame, err := netgossip.AppendFrame(nil, netgossip.Frame{Type: netgossip.FramePushBatch, IDs: []uint64{id}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
 	}
-	defer plain.Close()
-	if err := plain.Connect(gossipAddr); err == nil {
+	if plain, err := net.Dial("tcp", gossipAddr); err == nil {
 		deadline := time.Now().Add(time.Second)
 		for time.Now().Before(deadline) {
-			if _, err := plain.PushRound(); err != nil {
+			if _, err := plain.Write(push(7)); err != nil {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+		plain.Close()
 	}
 
 	// Certificate-less TLS gossiper: the handshake itself must fail under
@@ -85,28 +89,16 @@ func TestGossipListenerTLS(t *testing.T) {
 		t.Fatalf("unauthenticated gossip fed the pool: processed = %d, want 0", got)
 	}
 
-	// The real peer: TLS with the kit's client certificate, speaking the
-	// gossip protocol over the authenticated connection.
-	sender, err := netgossip.NewPeer(netgossip.Config{Self: 9, C: 10, K: 8, S: 4, Fanout: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
+	// The real node: TLS with the kit's client certificate, pushing over
+	// the authenticated connection.
 	conn, err := tls.Dial("tcp", gossipAddr, kit.clientTLS(t, &kit.clientCert))
 	if err != nil {
 		t.Fatalf("mTLS dial of the stream listener: %v", err)
 	}
-	if err := sender.AddConn(conn); err != nil {
+	defer conn.Close()
+	if _, err := conn.Write(push(9)); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for i := 0; i < 500; i++ {
-			if _, err := sender.PushRound(); err != nil {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
 	waitFor(t, "authenticated gossip ids to reach the pool", func() bool {
 		return processed() > 0
 	})

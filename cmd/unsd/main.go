@@ -15,7 +15,6 @@ import (
 	"syscall"
 	"time"
 
-	"nodesampling/internal/core"
 	"nodesampling/internal/shard"
 )
 
@@ -38,7 +37,6 @@ type options struct {
 	httpAddr, streamAddr string
 
 	shards, c, k, s  int
-	strategy         string // sampler strategy registry name ("" = default)
 	buffer           int
 	block            bool
 	seed             uint64
@@ -105,7 +103,6 @@ func parseOptions(args []string) (options, error) {
 	fs.IntVar(&o.c, "c", 25, "sampling memory size per shard")
 	fs.IntVar(&o.k, "k", 50, "sketch columns per shard")
 	fs.IntVar(&o.s, "s", 10, "sketch rows per shard")
-	fs.StringVar(&o.strategy, "strategy", core.DefaultStrategy, "sampler strategy, one of: "+strings.Join(core.Strategies(), ", "))
 	fs.IntVar(&o.buffer, "buffer", 64, "per-shard ingest queue, in batches")
 	fs.BoolVar(&o.block, "block", false, "block producers on a full shard queue instead of dropping")
 	fs.Uint64Var(&o.seed, "seed", 0, "random seed (0 means time-derived)")

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -303,37 +306,30 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestGossipFeedsDaemon drives the overlay's ingestion path: a netgossip
-// peer dials the daemon's stream listener — the one front door for frames —
-// and gossips; the ids must become visible through the HTTP surface, and the
-// peer is accounted like any other stream connection.
+// TestGossipFeedsDaemon drives the overlay's ingestion path: a gossiping
+// node dials the daemon's stream listener — the one front door for frames —
+// and pushes its own id as FramePushBatch frames; the ids must become
+// visible through the HTTP surface, and the node is accounted like any
+// other stream connection.
 func TestGossipFeedsDaemon(t *testing.T) {
-	d := testDaemon(t, defaultOptions())
-	ln, err := d.listenStream("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, ln := testStreamDaemon(t, defaultOptions())
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
-	sender, err := netgossip.NewPeer(netgossip.Config{
-		Self: 7, C: 10, K: 8, S: 4, Fanout: 1, Seed: 3,
-	})
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sender.Close()
-	if err := sender.Connect(ln.Addr().String()); err != nil {
+	defer conn.Close()
+	push, err := netgossip.AppendFrame(nil, netgossip.Frame{Type: netgossip.FramePushBatch, IDs: []uint64{7}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for i := 0; i < 200; i++ {
-			if _, err := sender.PushRound(); err != nil {
-				return
-			}
-			time.Sleep(time.Millisecond)
+	for i := 0; i < 20; i++ {
+		if _, err := conn.Write(push); err != nil {
+			t.Fatal(err)
 		}
-	}()
+	}
 
 	var stats struct {
 		Processed uint64 `json:"processed"`
@@ -341,7 +337,7 @@ func TestGossipFeedsDaemon(t *testing.T) {
 	}
 	waitFor(t, "gossiped ids to reach the pool", func() bool {
 		getJSON(t, ts.URL+"/stats", &stats)
-		return stats.Processed > 0 && stats.Conns == 1
+		return stats.Processed == 20 && stats.Conns == 1
 	})
 	var sampled struct {
 		Samples []string `json:"samples"`
@@ -350,13 +346,12 @@ func TestGossipFeedsDaemon(t *testing.T) {
 		t.Fatalf("/sample status %d", code)
 	}
 	if len(sampled.Samples) != 1 || sampled.Samples[0] != "7" {
-		t.Fatalf("samples = %v, want the gossiping peer's id 7", sampled.Samples)
+		t.Fatalf("samples = %v, want the gossiping node's id 7", sampled.Samples)
 	}
-	// The daemon never writes to a connection that only pushes, so the peer
-	// (which drops a neighbour on any frame but a batch or a keepalive)
-	// still holds its one connection.
-	if n := sender.NumConns(); n != 1 {
-		t.Fatalf("gossiping peer holds %d connections, want 1", n)
+	// The daemon never writes to a connection that only pushes.
+	_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("push-only connection read (%d, %v), want a timeout", n, err)
 	}
 }
 
@@ -431,8 +426,9 @@ func TestBadFlags(t *testing.T) {
 		t.Error("unknown flag should fail")
 	}
 	// The gossip listener, its dial-out and the peer identity it gossiped
-	// are gone: peers dial -stream.
-	for _, gone := range [][]string{{"-gossip", "127.0.0.1:0"}, {"-connect", "127.0.0.1:1"}, {"-self", "7"}} {
+	// are gone (peers dial -stream), and so is the strategy selector: the
+	// knowledge-free sampler is the only one.
+	for _, gone := range [][]string{{"-gossip", "127.0.0.1:0"}, {"-connect", "127.0.0.1:1"}, {"-self", "7"}, {"-strategy", "basalt"}} {
 		if err := run(context.Background(), gone, &sb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: error %v, want a flag-parsing failure", gone, err)
 		}

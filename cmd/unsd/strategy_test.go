@@ -1,68 +1,15 @@
 package main
 
 import (
+	"encoding/binary"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestStrategyBasaltDaemonServes boots the daemon under -strategy basalt and
-// checks the full read surface: samples come out, /stats reports the active
-// strategy, and /metrics carries the unsd_info gauge labelled with it.
-func TestStrategyBasaltDaemonServes(t *testing.T) {
-	o := defaultOptions()
-	o.strategy = "basalt"
-	d := testDaemon(t, o)
-	ts := httptest.NewServer(d.handler())
-	defer ts.Close()
-
-	ids := make([]uint64, 512)
-	for i := range ids {
-		ids[i] = uint64(i%64 + 1)
-	}
-	if resp := postPush(t, ts.URL, ids); resp.StatusCode != http.StatusOK {
-		t.Fatalf("push status %d", resp.StatusCode)
-	}
-	if err := d.pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	var sampled struct {
-		Samples []string `json:"samples"`
-	}
-	if code := getJSON(t, ts.URL+"/sample?n=16", &sampled); code != http.StatusOK {
-		t.Fatalf("/sample status %d", code)
-	}
-	if len(sampled.Samples) != 16 {
-		t.Fatalf("got %d samples, want 16", len(sampled.Samples))
-	}
-
-	var stats struct {
-		Strategy string `json:"strategy"`
-	}
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("/stats status %d", code)
-	}
-	if stats.Strategy != "basalt" {
-		t.Fatalf("/stats strategy %q, want basalt", stats.Strategy)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), `unsd_info{strategy="basalt"} 1`) {
-		t.Fatalf("/metrics missing the strategy info gauge:\n%s", body)
-	}
-}
 
 // TestStrategyDefaultInStats checks that the default daemon reports the
 // knowledge-free strategy on both observability surfaces.
@@ -94,50 +41,66 @@ func TestStrategyDefaultInStats(t *testing.T) {
 	}
 }
 
-// TestStrategyUnknownRefused checks the registry error surfaces through
-// daemon construction with the registered names listed.
-func TestStrategyUnknownRefused(t *testing.T) {
+// writeTaggedSnapshot runs a default daemon over 256 ids, lets its shutdown
+// write the snapshot at path, and rewrites the blob's strategy tag to tag.
+func writeTaggedSnapshot(t *testing.T, path, tag string) {
+	t.Helper()
 	o := defaultOptions()
-	o.strategy = "no-such-strategy"
+	o.snapshotPath = path
+	d, err := newDaemon(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.handler())
+	ids := make([]uint64, 256)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	if resp := postPush(t, ts.URL, ids); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push status %d", resp.StatusCode)
+	}
+	if err := d.pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	d.Close() // writes the final snapshot
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v2 layout: magic | version u32 | tag length u32 | tag | body.
+	old := int(binary.BigEndian.Uint32(blob[8:12]))
+	out := binary.BigEndian.AppendUint32(append([]byte(nil), blob[:8]...), uint32(len(tag)))
+	out = append(append(out, tag...), blob[12+old:]...)
+	if err := os.WriteFile(path, out, 0o600); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStrategyUnknownRefused: a snapshot naming a strategy this build does
+// not know refuses to boot the daemon, naming the strategy.
+func TestStrategyUnknownRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pool.snap")
+	writeTaggedSnapshot(t, path, "no-such-strategy")
+	o := defaultOptions()
+	o.snapshotPath = path
 	if _, err := newDaemon(o); err == nil {
-		t.Fatal("unknown strategy should fail daemon construction")
+		t.Fatal("unknown snapshot strategy should fail daemon construction")
 	} else if !strings.Contains(err.Error(), "no-such-strategy") {
 		t.Fatalf("error %v does not name the unknown strategy", err)
 	}
 }
 
 // TestStrategySnapshotMismatchRefused is the durability cross-check: a
-// snapshot written by a basalt daemon must refuse to restore into a
-// knowledge-free daemon, and the error names both strategies.
+// snapshot tagged with the retired basalt strategy refuses to restore into
+// the knowledge-free daemon, and the error names both strategies, while the
+// same blob tagged knowledge-free restores.
 func TestStrategySnapshotMismatchRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pool.snap")
 	o := defaultOptions()
-	o.strategy = "basalt"
 	o.snapshotPath = path
-
-	d1, err := newDaemon(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(d1.handler())
-	ids := make([]uint64, 256)
-	for i := range ids {
-		ids[i] = uint64(i + 1)
-	}
-	if resp := postPush(t, ts1.URL, ids); resp.StatusCode != http.StatusOK {
-		t.Fatalf("push status %d", resp.StatusCode)
-	}
-	if err := d1.pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-	d1.Close() // writes the final snapshot
-
-	// Same path, same sketch flags, but the default (knowledge-free)
-	// strategy: the restore must fail loudly, naming both sides.
-	mismatched := defaultOptions()
-	mismatched.snapshotPath = path
-	_, err = newDaemon(mismatched)
+	writeTaggedSnapshot(t, path, "basalt")
+	_, err := newDaemon(o)
 	if err == nil {
 		t.Fatal("strategy mismatch against the snapshot should fail")
 	}
@@ -145,7 +108,8 @@ func TestStrategySnapshotMismatchRefused(t *testing.T) {
 		t.Fatalf("mismatch error %v does not name both strategies", err)
 	}
 
-	// Restarting under the matching strategy succeeds and restores.
+	o.snapshotPath = filepath.Join(t.TempDir(), "pool.snap")
+	writeTaggedSnapshot(t, o.snapshotPath, "knowledge-free")
 	d2, err := newDaemon(o)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +117,5 @@ func TestStrategySnapshotMismatchRefused(t *testing.T) {
 	defer d2.Close()
 	if !d2.restored {
 		t.Fatal("matching-strategy daemon did not restore from the snapshot")
-	}
-	if got := d2.pool.Strategy(); got != "basalt" {
-		t.Fatalf("restored pool strategy %q, want basalt", got)
 	}
 }

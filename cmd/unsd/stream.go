@@ -53,8 +53,8 @@ const (
 // the pool's output stream σ′, sample responses and keepalives down. It is
 // the subscription-shaped surface the HTTP endpoints cannot offer — one
 // connection instead of a poll loop per sample — and the daemon's one front
-// door for frames: clients, gossiping netgossip peers (connections that
-// only ever push) and cluster members all arrive here, under the same
+// door for frames: clients, gossiping nodes (connections that only ever
+// push) and cluster members all arrive here, under the same
 // connection cap, deadlines and TLS plane.
 type streamServer struct {
 	d *daemon

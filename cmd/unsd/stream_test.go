@@ -278,6 +278,39 @@ func TestStreamProtocolErrors(t *testing.T) {
 	})
 }
 
+// TestLegacyClientRefusedLoudly pins the v1 retirement contract: a client
+// that speaks the retired one-way batch protocol (magic 0x75) on the stream
+// listener gets a FrameError naming the replacement before the daemon hangs
+// up — not a silent reset.
+func TestLegacyClientRefusedLoudly(t *testing.T) {
+	_, ln := testStreamDaemon(t, defaultOptions())
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The head of a v1 batch frame: magic 'u', version 1, count 1, first
+	// payload byte.
+	if _, err := conn.Write([]byte{0x75, 1, 0, 0, 0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr := netgossip.NewFrameReader(conn)
+	f, err := fr.Read()
+	if err != nil {
+		t.Fatalf("no loud refusal frame: %v", err)
+	}
+	if f.Type != netgossip.FrameError {
+		t.Fatalf("refusal frame type %d, want FrameError", f.Type)
+	}
+	if !strings.Contains(f.Msg, "v1") || !strings.Contains(f.Msg, "version 2") {
+		t.Fatalf("refusal message %q does not name the retired and replacement protocols", f.Msg)
+	}
+	if _, err := fr.Read(); err == nil {
+		t.Fatal("connection should be closed after the refusal")
+	}
+}
+
 // TestStreamRunFlag boots the daemon through run() with -stream and drives
 // it with the public client, proving the flag wiring end to end.
 func TestStreamRunFlag(t *testing.T) {

@@ -40,59 +40,32 @@
 // of them, both of which grow linearly with the sketch width k and are
 // independent of the system size.
 //
-// # Sampler strategies
+// # Sampler
 //
-// The sampling engine is pluggable: every sampler — single (NewSampler),
-// per shard of a Pool, inside the unsd daemon — is built through a strategy
-// registry keyed by name (Strategies lists them, WithStrategy selects one,
-// unsd takes -strategy). A strategy implements the internal core.PoolSampler
-// contract: per-id and batch processing with σ′ emission, uniform
-// Sample/SampleN over its memory, a decay step, empty cloning onto a shared
-// hash/seed family (the property that keeps shard states mergeable across
-// Resize), and a self-contained binary state for snapshots. Registered
-// backends:
+// The knowledge-free sampler — single (NewSampler), per shard of a Pool,
+// inside the unsd daemon — is built through core.NewFactory and driven
+// through the internal core.PoolSampler contract: per-id and batch
+// processing with σ′ emission, uniform Sample/SampleN over Γ, a decay step
+// (halving the counters), empty cloning onto a shared hash family (what
+// keeps shard states mergeable across Resize), and a self-contained binary
+// state for snapshots. Snapshot blobs record the strategy name
+// "knowledge-free"; a blob naming any other (including the retired
+// "basalt") is refused by name, and pre-v2 blobs restore bit-identical.
 //
-//   - "knowledge-free" (the default): the paper's Algorithm 3 as above —
-//     Count-Min sketch, admission with probability minσ/f̂_j, decay =
-//     halving the counters.
-//   - "basalt": a BASALT-style seeded-ranking sampler (after the stubborn
-//     chaotic search of BASALT, see PAPERS.md; sketch-free). Each
-//     of the c memory slots carries a private seed; an arriving id is
-//     ranked by a hash of (slot seed, id) and replaces the resident if it
-//     ranks lower, so each slot converges to a uniformly random minimum
-//     over the observed id set regardless of injection rates. Decay
-//     refreshes slot seeds round-robin, the freshness analogue.
+// The attack table (unsattack -tournament, internal/adversary.RunTournament)
+// runs it against four adversarial input models and scores the windowed KL
+// divergence of input and output against uniform, plus the paper's G_KL
+// gain (1 = all attack bias removed). A reference run (population 256,
+// c=32, 16×4 sketch, 10 windows of 4096 ids, decay every 512):
 //
-// Snapshot blobs record the strategy that wrote them, and a blob restores
-// only under that strategy: a mismatched restore — including a pre-v2 blob
-// (implicitly knowledge-free) under any other configured strategy — fails
-// loudly, naming both sides. Pre-v2 blobs restore bit-identical under the
-// default strategy.
+//	ATTACK             INPUT_KL  OUTPUT_KL     G_KL
+//	targeted-flood       2.1264     0.3107   0.8538
+//	ballot-stuffing      1.8203     0.7863   0.5682
+//	churn-storm          1.2274     0.8508   0.3065
+//	slow-trickle         0.2067     0.2029   0.0119
 //
-// The backends are not interchangeable under attack. The adversary
-// tournament (unsattack -tournament, internal/adversary.RunTournament) runs
-// every registered strategy against four adversarial input models and
-// scores the windowed KL divergence of input and output against uniform,
-// plus the paper's G_KL gain (1 = all attack bias removed). A reference run
-// (population 256, c=32, 16×4 sketch, 10 windows of 4096 ids, decay every
-// 512):
-//
-//	STRATEGY         ATTACK             INPUT_KL  OUTPUT_KL     G_KL
-//	basalt           targeted-flood       2.1264     1.9921   0.0628
-//	basalt           ballot-stuffing      1.8203     1.9501  -0.0713
-//	basalt           churn-storm          1.2274     2.4634  -1.0078
-//	basalt           slow-trickle         0.2067     2.0279  -8.8681
-//	knowledge-free   targeted-flood       2.1264     0.3107   0.8538
-//	knowledge-free   ballot-stuffing      1.8203     0.7863   0.5682
-//	knowledge-free   churn-storm          1.2274     0.8508   0.3065
-//	knowledge-free   slow-trickle         0.2067     0.2029   0.0119
-//
-// The knowledge-free sampler strips most of every bulk attack's divergence
-// — the paper's headline result. Basalt's windowed output KL is dominated
-// by its deliberately sticky slot residency (≤ c distinct ids per window),
-// a different freshness/uniformity trade: its guarantees are long-run and
-// per-slot, not per-window — so on this metric, at this operating point,
-// the knowledge-free strategy is the right default.
+// The sampler strips most of every bulk attack's divergence — the paper's
+// headline result.
 //
 // # Concurrency and scale
 //
@@ -364,7 +337,7 @@
 // Pool over the network: HTTP for request/response (plus POST /resize,
 // POST /snapshot and POST /autoscale admin endpoints for the elastic
 // plane), and a framed bidirectional stream protocol on one listener —
-// push id batches up (an overlay's netgossip peers dial it and do only
+// push id batches up (an overlay's gossiping nodes dial it and do only
 // that), receive σ′ down, one persistent connection per consumer. With -snapshot-path the daemon restores its
 // pool at boot and persists it (fsync-durably) periodically and at
 // shutdown; with -autoscale it resizes itself from observed load. The client package (nodesampling/client)

@@ -8,9 +8,8 @@
 // width k — so a correct node buys safety with memory. This example prints
 // the effort table for several sketch shapes, verifies the thresholds
 // empirically against freshly drawn hash families, and closes with a small
-// strategy tournament: every registered sampling strategy (built through
-// the same registry unsd's -strategy flag uses) against the four attack
-// models, scored with the windowed KL divergence and G_KL gain.
+// attack table: the knowledge-free sampler against the four attack models,
+// scored with the windowed KL divergence and G_KL gain.
 //
 //	go run ./examples/attackplanner
 package main
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"nodesampling"
 	"nodesampling/internal/adversary"
 	"nodesampling/internal/rng"
 	"nodesampling/internal/urn"
@@ -78,11 +76,10 @@ func run() error {
 		fmt.Printf("  %4d distinct ids -> targeted attack succeeds with prob %.3f%s\n", decoys, p, marker)
 	}
 
-	// A small strategy tournament: which registered sampler backend holds
-	// up against which attack? Strategies come from the shared registry,
-	// so any newly registered backend joins this table automatically.
+	// A small attack table: how much of each attack's bias does the
+	// sampler strip at this sketch shape?
 	fmt.Println()
-	fmt.Printf("=== strategy tournament (registered: %v) ===\n", nodesampling.Strategies())
+	fmt.Println("=== attack table: the knowledge-free sampler against four attacks ===")
 	res, err := adversary.RunTournament(adversary.TournamentConfig{
 		Population: 128, Capacity: 16, K: k, S: s,
 		Ids: 16384, Window: 2048, Seed: 99,

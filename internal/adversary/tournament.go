@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"nodesampling/internal/core"
 	"nodesampling/internal/metrics"
@@ -12,19 +11,18 @@ import (
 	"nodesampling/internal/stream"
 )
 
-// TournamentConfig parameterises a strategy-vs-attack tournament. The zero
-// value is usable: SetDefaults fills every unset field with the reference
-// operating point (population 256, memory 32, 16×4 sketch, ten windows of
-// 4096 ids, decay every 512).
+// TournamentConfig parameterises the knowledge-free sampler's attack table.
+// The zero value is usable: SetDefaults fills every unset field with the
+// reference operating point (population 256, memory 32, 16×4 sketch, ten
+// windows of 4096 ids, decay every 512).
 type TournamentConfig struct {
-	Population int      // honest population size n (ids 0 … n−1)
-	Capacity   int      // sampler memory size c
-	K, S       int      // sketch shape, for sketch-backed strategies
-	Ids        int      // stream length fed to each cell
-	Window     int      // scoring window, in ids
-	DecayEvery uint64   // periodic decay (0 disables)
-	Seed       uint64   // root seed; every cell derives its own
-	Strategies []string // nil means every registered strategy
+	Population int    // honest population size n (ids 0 … n−1)
+	Capacity   int    // sampler memory size c
+	K, S       int    // sketch shape
+	Ids        int    // stream length fed to each cell
+	Window     int    // scoring window, in ids
+	DecayEvery uint64 // periodic decay (0 disables)
+	Seed       uint64 // root seed; every cell derives its own
 }
 
 // SetDefaults fills unset fields with the reference operating point.
@@ -53,9 +51,6 @@ func (c *TournamentConfig) SetDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Strategies == nil {
-		c.Strategies = core.Strategies()
-	}
 }
 
 func (c TournamentConfig) validate() error {
@@ -68,19 +63,15 @@ func (c TournamentConfig) validate() error {
 	if c.Window < 1 || c.Ids < 2*c.Window {
 		return fmt.Errorf("adversary: tournament needs at least two windows (ids=%d window=%d)", c.Ids, c.Window)
 	}
-	if len(c.Strategies) == 0 {
-		return fmt.Errorf("adversary: tournament with no strategies")
-	}
 	return nil
 }
 
-// Cell is one strategy × attack outcome: the mean windowed KL divergence of
-// the input and output streams against uniform over the attack's id
-// support, and the paper's G_KL robustness gain (1 = the sampler removed
-// all of the attack's bias, 0 = none, negative = it amplified it). The
-// first window is a warm-up and is not scored.
+// Cell is one attack's outcome: the mean windowed KL divergence of the
+// input and output streams against uniform over the attack's id support,
+// and the paper's G_KL robustness gain (1 = the sampler removed all of the
+// attack's bias, 0 = none, negative = it amplified it). The first window is
+// a warm-up and is not scored.
 type Cell struct {
-	Strategy string  `json:"strategy"`
 	Attack   string  `json:"attack"`
 	InputKL  float64 `json:"input_kl"`
 	OutputKL float64 `json:"output_kl"`
@@ -88,7 +79,7 @@ type Cell struct {
 	Windows  int     `json:"windows"`
 }
 
-// TournamentResult is the full strategy × attack table.
+// TournamentResult is the full attack table.
 type TournamentResult struct {
 	Config  TournamentConfig `json:"config"`
 	Attacks []string         `json:"attacks"`
@@ -199,45 +190,34 @@ func AttackNames() []string {
 	return names
 }
 
-// RunTournament pits every configured strategy against every attack model
+// RunTournament runs the knowledge-free sampler against every attack model
 // and scores each cell with the windowed KL divergence and G_KL gain of
-// internal/metrics. Samplers are built exclusively through the strategy
-// registry, so a newly registered backend joins the tournament with no
-// code change here.
+// internal/metrics.
 func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 	cfg.SetDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	strategies := append([]string(nil), cfg.Strategies...)
-	sort.Strings(strategies)
-	attacks := tournamentAttacks()
 	res := &TournamentResult{Config: cfg, Attacks: AttackNames()}
-	for _, name := range strategies {
-		for ai, atk := range attacks {
-			cell, err := runCell(cfg, name, atk, cfg.Seed+uint64(ai)*0x9e37)
-			if err != nil {
-				return nil, fmt.Errorf("adversary: %s vs %s: %w", name, atk.name, err)
-			}
-			res.Cells = append(res.Cells, cell)
+	for ai, atk := range tournamentAttacks() {
+		cell, err := runCell(cfg, atk, cfg.Seed+uint64(ai)*0x9e37)
+		if err != nil {
+			return nil, fmt.Errorf("adversary: %s: %w", atk.name, err)
 		}
+		res.Cells = append(res.Cells, cell)
 	}
 	return res, nil
 }
 
 // runCell streams cfg.Ids attack ids through one sampler and scores every
 // window after the warm-up one.
-func runCell(cfg TournamentConfig, strategy string, atk tournamentAttack, seed uint64) (Cell, error) {
+func runCell(cfg TournamentConfig, atk tournamentAttack, seed uint64) (Cell, error) {
 	var opts []core.Option
 	if cfg.DecayEvery > 0 {
 		opts = append(opts, core.WithPeriodicHalving(cfg.DecayEvery))
 	}
-	factory, err := core.NewFactory(strategy, core.StrategyParams{K: cfg.K, S: cfg.S, Options: opts})
-	if err != nil {
-		return Cell{}, err
-	}
 	r := rng.New(seed)
-	sampler, err := factory.New(cfg.Capacity, r.Split())
+	sampler, err := core.NewKnowledgeFree(cfg.Capacity, cfg.K, cfg.S, r.Split(), opts...)
 	if err != nil {
 		return Cell{}, err
 	}
@@ -249,7 +229,7 @@ func runCell(cfg TournamentConfig, strategy string, atk tournamentAttack, seed u
 	in, out := metrics.NewHistogram(), metrics.NewHistogram()
 	batch := make([]uint64, cfg.Window)
 	emitted := make([]uint64, 0, cfg.Window)
-	cell := Cell{Strategy: strategy, Attack: atk.name}
+	cell := Cell{Attack: atk.name}
 	var sumIn, sumOut, sumGain float64
 	for processed := 0; processed+cfg.Window <= cfg.Ids; processed += cfg.Window {
 		for i := range batch {
@@ -293,15 +273,15 @@ func runCell(cfg TournamentConfig, strategy string, atk tournamentAttack, seed u
 	return cell, nil
 }
 
-// WriteTable renders the per-strategy × per-attack table as aligned text.
+// WriteTable renders the per-attack table as aligned text.
 func (r *TournamentResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%-16s %-16s %10s %10s %8s %8s\n",
-		"STRATEGY", "ATTACK", "INPUT_KL", "OUTPUT_KL", "G_KL", "WINDOWS"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-16s %10s %10s %8s %8s\n",
+		"ATTACK", "INPUT_KL", "OUTPUT_KL", "G_KL", "WINDOWS"); err != nil {
 		return err
 	}
 	for _, c := range r.Cells {
-		if _, err := fmt.Fprintf(w, "%-16s %-16s %10.4f %10.4f %8.4f %8d\n",
-			c.Strategy, c.Attack, c.InputKL, c.OutputKL, c.Gain, c.Windows); err != nil {
+		if _, err := fmt.Fprintf(w, "%-16s %10.4f %10.4f %8.4f %8d\n",
+			c.Attack, c.InputKL, c.OutputKL, c.Gain, c.Windows); err != nil {
 			return err
 		}
 	}

@@ -6,46 +6,37 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"nodesampling/internal/core"
 )
 
 // TestTournamentTableComplete checks the tournament emits one finite cell
-// per registered strategy × attack, with every window scored.
+// per attack, in table order, with every window scored.
 func TestTournamentTableComplete(t *testing.T) {
 	cfg := TournamentConfig{Population: 64, Capacity: 16, Ids: 8192, Window: 1024, Seed: 7}
 	res, err := RunTournament(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strategies := core.Strategies()
 	attacks := AttackNames()
 	if len(attacks) != 4 {
 		t.Fatalf("tournament has %d attacks, want 4", len(attacks))
 	}
-	if want := len(strategies) * len(attacks); len(res.Cells) != want {
-		t.Fatalf("%d cells, want %d (strategies %v × attacks %v)", len(res.Cells), want, strategies, attacks)
+	if len(res.Cells) != len(attacks) {
+		t.Fatalf("%d cells, want one per attack %v", len(res.Cells), attacks)
 	}
-	seen := map[string]bool{}
-	for _, c := range res.Cells {
-		seen[c.Strategy+"/"+c.Attack] = true
+	for i, c := range res.Cells {
+		if c.Attack != attacks[i] {
+			t.Fatalf("cell %d is %s, want %s", i, c.Attack, attacks[i])
+		}
 		if c.Windows != 8192/1024-1 {
-			t.Fatalf("cell %s/%s scored %d windows, want %d", c.Strategy, c.Attack, c.Windows, 8192/1024-1)
+			t.Fatalf("cell %s scored %d windows, want %d", c.Attack, c.Windows, 8192/1024-1)
 		}
 		for _, v := range []float64{c.InputKL, c.OutputKL, c.Gain} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("cell %s/%s has a non-finite score: %+v", c.Strategy, c.Attack, c)
+				t.Fatalf("cell %s has a non-finite score: %+v", c.Attack, c)
 			}
 		}
 		if c.InputKL <= 0 {
-			t.Fatalf("cell %s/%s input KL %v: the attack did not bias the stream", c.Strategy, c.Attack, c.InputKL)
-		}
-	}
-	for _, s := range strategies {
-		for _, a := range attacks {
-			if !seen[s+"/"+a] {
-				t.Fatalf("missing cell %s/%s", s, a)
-			}
+			t.Fatalf("cell %s input KL %v: the attack did not bias the stream", c.Attack, c.InputKL)
 		}
 	}
 }
@@ -55,7 +46,7 @@ func TestTournamentTableComplete(t *testing.T) {
 // sampler strips most of a flood's divergence (Figure 7-style), and helps
 // against every bulk attack.
 func TestTournamentKnowledgeFreeFloodResistance(t *testing.T) {
-	res, err := RunTournament(TournamentConfig{Strategies: []string{core.DefaultStrategy}})
+	res, err := RunTournament(TournamentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +73,14 @@ func TestTournamentValidation(t *testing.T) {
 	if _, err := RunTournament(TournamentConfig{Ids: 100, Window: 100}); err == nil {
 		t.Fatal("single-window tournament should fail")
 	}
-	if _, err := RunTournament(TournamentConfig{Strategies: []string{"no-such"}}); err == nil {
-		t.Fatal("unknown strategy should fail")
-	} else if !strings.Contains(err.Error(), "no-such") {
-		t.Fatalf("error %v does not name the unknown strategy", err)
+	if _, err := RunTournament(TournamentConfig{Population: 8}); err == nil {
+		t.Fatal("population below 16 should fail")
 	}
 }
 
 // TestTournamentWriters checks both output formats carry the table.
 func TestTournamentWriters(t *testing.T) {
-	cfg := TournamentConfig{Population: 64, Capacity: 16, Ids: 4096, Window: 1024, Seed: 3,
-		Strategies: []string{core.DefaultStrategy}}
+	cfg := TournamentConfig{Population: 64, Capacity: 16, Ids: 4096, Window: 1024, Seed: 3}
 	res, err := RunTournament(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +89,7 @@ func TestTournamentWriters(t *testing.T) {
 	if err := res.WriteTable(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"STRATEGY", "G_KL", core.DefaultStrategy, "targeted-flood", "slow-trickle"} {
+	for _, want := range []string{"ATTACK", "G_KL", "targeted-flood", "slow-trickle"} {
 		if !strings.Contains(text.String(), want) {
 			t.Fatalf("table missing %q:\n%s", want, text.String())
 		}

@@ -24,8 +24,7 @@
 // (FramePlacementUpdate).
 //
 // The package deliberately knows nothing about samplers: state blobs are
-// opaque bytes produced and consumed by the pool's Export/Import surface,
-// so every registered strategy clusters the same way.
+// opaque bytes produced and consumed by the pool's Export/Import surface.
 package cluster
 
 import (

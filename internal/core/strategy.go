@@ -3,30 +3,26 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"nodesampling/internal/cms"
 	"nodesampling/internal/rng"
 )
 
-// This file defines the pluggable strategy layer: the PoolSampler contract
-// every sampling backend implements, and the registry that names them. The
-// shard pool, the public Pool/Service API, snapshots, and the unsd daemon
-// build samplers exclusively through SamplerFactory values resolved here, so
-// a new backend (Honeybee, LIFT, ...) plugs in by registering one entry and
-// inherits sharding, snapshots, telemetry, and the uniformity proofs.
+// This file defines the seam between the knowledge-free sampler and
+// everything that runs it: the PoolSampler contract and the SamplerFactory
+// that builds and restores samplers. The shard pool, the public Pool/Service
+// API, snapshots, and the unsd daemon reach the sampler only through these,
+// which keeps the cluster plane's state opaque and lets tests substitute a
+// failing factory.
 
-// PoolSampler is the full contract a sampling strategy implements to run
-// inside the sharded pool. It extends the minimal Sampler interface with the
-// batch hot path, state management for snapshots, the decay hook the pool's
-// global decay clock drives, and the cloning/merging operations Resize needs.
+// PoolSampler is the full contract a sampler implements to run inside the
+// sharded pool. It extends the minimal Sampler interface with the batch hot
+// path, state management for snapshots, the decay hook the pool's global
+// decay clock drives, and the cloning/merging operations Resize needs.
 //
-// The contract mirrors the paper's strategy shape rather than any one
-// estimator: Process consumes one id from the input stream σ and returns the
-// sampler's current output σ′; Decay ages the frequency state (a sketch
-// halving for the knowledge-free strategy, a slot-seed refresh for BASALT);
-// MarshalState must round-trip through the registry's Restore hook so
-// snapshots stay strategy-generic.
+// Process consumes one id from the input stream σ and returns the sampler's
+// current output σ′; Decay ages the frequency state (a sketch halving);
+// MarshalState must round-trip through the factory's Restore hook.
 type PoolSampler interface {
 	Sampler
 
@@ -44,35 +40,35 @@ type PoolSampler interface {
 	MemoryCap() int
 	// RestoreMemory replaces the sampler memory with the given ids.
 	RestoreMemory(ids []uint64) error
-	// Estimate reports the sampler's frequency knowledge for one id (a
-	// Count-Min estimate, a hit counter, ... — strategy-defined).
+	// Estimate reports the sampler's frequency knowledge for one id (its
+	// Count-Min estimate).
 	Estimate(id uint64) uint64
 
 	// Decay applies one aging step. The pool's global decay clock calls
 	// this once per DecayEvery ids observed pool-wide.
 	Decay()
 
-	// CloneEmpty derives a fresh, empty sampler of the same strategy and
-	// shape, driven by r. Clones of one sampler are state-mergeable.
+	// CloneEmpty derives a fresh, empty sampler of the same shape, driven by
+	// r. Clones of one sampler are state-mergeable.
 	CloneEmpty(r *rng.Xoshiro) (PoolSampler, error)
 	// MergeState folds another sampler's frequency state (not its memory)
-	// into this one. Both must be the same strategy and family.
+	// into this one. Both must share a family.
 	MergeState(other PoolSampler) error
 	// MarshalState serialises the frequency state for snapshots; the
-	// registry's Restore hook reverses it.
+	// factory's Restore hook reverses it.
 	MarshalState() ([]byte, error)
-	// StateDesc is a human-readable shape description ("count-min 64x4",
-	// "basalt 50 slots") used in snapshot-mismatch errors.
+	// StateDesc is a human-readable shape description ("count-min 64x4")
+	// used in snapshot-mismatch errors.
 	StateDesc() string
 	// SharesFamily reports whether other uses the same hash/seed family,
 	// i.e. whether MergeState between the two is meaningful.
 	SharesFamily(other PoolSampler) bool
-	// StrategyName returns the registry name this sampler was built under.
+	// StrategyName returns the name this sampler was built under.
 	StrategyName() string
 }
 
-// StrategyParams carries the knobs a strategy may consult when building a
-// sampler. Sketch-free strategies ignore the sketch shape.
+// StrategyParams carries the knobs NewFactory binds into the samplers it
+// builds.
 type StrategyParams struct {
 	K, S        int     // Count-Min shape: k columns, s rows (0,0 = default 50x10)
 	UseAccuracy bool    // derive the sketch shape from (Epsilon, Delta) instead
@@ -86,7 +82,7 @@ type StrategyParams struct {
 // snapshot restore learns the capacity from the blob, after the factory has
 // already been resolved.
 type SamplerFactory struct {
-	// Name is the registry name ("knowledge-free", "basalt", ...).
+	// Name is the strategy name snapshots record (DefaultStrategy).
 	Name string
 	// New builds a fresh sampler with memory capacity c, driven by r.
 	New func(c int, r *rng.Xoshiro) (PoolSampler, error)
@@ -94,19 +90,30 @@ type SamplerFactory struct {
 	Restore func(c int, state []byte, r *rng.Xoshiro) (PoolSampler, error)
 }
 
-// DefaultStrategy is the paper's estimator and the name implied by
-// pre-strategy (v1) snapshot blobs.
+// DefaultStrategy is the paper's estimator, the only strategy, and the name
+// implied by pre-strategy (v1) snapshot blobs.
 const DefaultStrategy = "knowledge-free"
 
-// strategyDef is one registry entry.
-type strategyDef struct {
-	build   func(p StrategyParams, c int, r *rng.Xoshiro) (PoolSampler, error)
-	restore func(p StrategyParams, c int, state []byte, r *rng.Xoshiro) (PoolSampler, error)
-}
+// Strategies lists the strategy names NewFactory accepts.
+func Strategies() []string { return []string{DefaultStrategy} }
 
-var strategyRegistry = map[string]strategyDef{
-	DefaultStrategy: {
-		build: func(p StrategyParams, c int, r *rng.Xoshiro) (PoolSampler, error) {
+// NewFactory binds the params to the knowledge-free sampler and returns a
+// factory the pool can call per shard. name must be "" or DefaultStrategy.
+// The BASALT-style backend was retired: its G_KL against the tournament's
+// four attacks was 0.06, −0.07, −1.01 and −8.87, so three of its four
+// outputs were further from uniform than their inputs.
+func NewFactory(name string, p StrategyParams) (SamplerFactory, error) {
+	switch name {
+	case "", DefaultStrategy:
+	case "basalt":
+		return SamplerFactory{}, fmt.Errorf("core: sampler strategy %q was retired: its output was further from uniform than its input under three of four attacks; use %q",
+			name, DefaultStrategy)
+	default:
+		return SamplerFactory{}, fmt.Errorf("core: unknown sampler strategy %q (known: %q)", name, DefaultStrategy)
+	}
+	return SamplerFactory{
+		Name: DefaultStrategy,
+		New: func(c int, r *rng.Xoshiro) (PoolSampler, error) {
 			if p.UseAccuracy {
 				return NewKnowledgeFreeFromAccuracy(c, p.Epsilon, p.Delta, r, p.Options...)
 			}
@@ -116,52 +123,12 @@ var strategyRegistry = map[string]strategyDef{
 			}
 			return NewKnowledgeFree(c, k, s, r, p.Options...)
 		},
-		restore: func(p StrategyParams, c int, state []byte, r *rng.Xoshiro) (PoolSampler, error) {
+		Restore: func(c int, state []byte, r *rng.Xoshiro) (PoolSampler, error) {
 			sk := new(cms.Sketch)
 			if err := sk.UnmarshalBinary(state); err != nil {
 				return nil, err
 			}
 			return NewKnowledgeFreeWithSketch(c, sk, r, p.Options...)
-		},
-	},
-	"basalt": {
-		build: func(p StrategyParams, c int, r *rng.Xoshiro) (PoolSampler, error) {
-			return NewBasalt(c, r, p.Options...)
-		},
-		restore: func(p StrategyParams, c int, state []byte, r *rng.Xoshiro) (PoolSampler, error) {
-			return RestoreBasalt(c, state, r, p.Options...)
-		},
-	},
-}
-
-// Strategies lists the registered strategy names, sorted.
-func Strategies() []string {
-	names := make([]string, 0, len(strategyRegistry))
-	for name := range strategyRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewFactory resolves name ("" means DefaultStrategy) against the registry
-// and binds the params, returning a factory the pool can call per shard.
-func NewFactory(name string, p StrategyParams) (SamplerFactory, error) {
-	if name == "" {
-		name = DefaultStrategy
-	}
-	def, ok := strategyRegistry[name]
-	if !ok {
-		return SamplerFactory{}, fmt.Errorf("core: unknown sampler strategy %q (registered: %v)", name, Strategies())
-	}
-	bound := name
-	return SamplerFactory{
-		Name: bound,
-		New: func(c int, r *rng.Xoshiro) (PoolSampler, error) {
-			return def.build(p, c, r)
-		},
-		Restore: func(c int, state []byte, r *rng.Xoshiro) (PoolSampler, error) {
-			return def.restore(p, c, state, r)
 		},
 	}, nil
 }
@@ -230,5 +197,5 @@ func (kf *KnowledgeFree) SharesFamily(other PoolSampler) bool {
 	return ok && kf.sketch.SharesFamily(o.sketch)
 }
 
-// StrategyName returns the registry name of the paper's estimator.
+// StrategyName returns DefaultStrategy.
 func (kf *KnowledgeFree) StrategyName() string { return DefaultStrategy }

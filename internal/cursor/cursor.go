@@ -1,7 +1,7 @@
 // Package cursor is the one bounds-checked reader every binary format of
 // the system is decoded through: pool snapshots, migration blobs, sketch
-// and basalt sampler state, and the fixed fields of a frame payload. All
-// integers are big-endian.
+// state, and the fixed fields of a frame payload. All integers are
+// big-endian.
 //
 // A Cursor never panics and never reads past its data. The first read that
 // does not fit records a "truncated at offset" error and every read after

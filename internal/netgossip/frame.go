@@ -116,7 +116,7 @@ const (
 // clean shutdown (io.EOF) stays detectable.
 var (
 	ErrFrameTooLarge = errors.New("netgossip: frame payload exceeds protocol limit")
-	errLegacyMagic   = errors.New("netgossip: legacy batch-protocol magic on a framed connection")
+	errLegacyMagic   = errors.New("netgossip: v1 batch protocol retired: speak the framed protocol (version 2)")
 )
 
 // Frame is one decoded protocol frame. Which fields are meaningful depends

@@ -1,20 +1,15 @@
-// Package netgossip is the deployable form of the node sampling service: a
-// peer that exchanges node identifiers with its neighbours over real
-// connections (TCP or any net.Conn) and feeds everything it hears into the
-// knowledge-free sampler. It is the concrete realisation of the paper's
-// Figure 1 — "node identifiers periodically gossiped by nodes" arriving as
-// the input stream σ_i of the local sampling component — including the part
-// the paper leaves to the deployment: wire format, connection management,
-// and the push-gossip loop.
+// Package netgossip is the wire of the node sampling service: the codec of
+// the framed protocol (frame.go, version 2) and the dial that opens a framed
+// connection (dial.go). The unsd daemon's stream listener, the client
+// package, the fleet's member links and the load generator all speak it; a
+// gossiping node is simply a connection that pushes FramePushBatch frames.
 //
-// The wire protocol is the framed protocol of frame.go (version 2):
-// length-prefixed, type-tagged frames with every bound checked before any
-// allocation, so a malicious peer can neither stall nor bloat a correct
-// node — it can only do what the adversary model already allows: inject
-// many ids. Gossip peers exchange FramePushBatch frames on persistent
-// connections; the one-way v1 batch protocol (magic 0x75) is retired, and
-// a client still speaking it gets a FrameError naming the replacement
-// before the connection drops.
+// Frames are length-prefixed and type-tagged, with every bound checked
+// before any allocation, so a malicious sender can neither stall nor bloat
+// a correct node — it can only do what the adversary model already allows:
+// inject many ids. The one-way v1 batch protocol (magic 0x75) is retired;
+// the decoder recognises its first byte so a server can answer a stale
+// client with a FrameError naming the replacement before it hangs up.
 package netgossip
 
 // legacyMagic is the retired v1 batch protocol's magic byte ('u' for

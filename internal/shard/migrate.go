@@ -13,7 +13,7 @@ import (
 // and importing a remote pool's exported state on the receiving side. All
 // operations work on a live pool (per-shard locks, ingest continues on
 // other shards) and reach samplers only through the core.PoolSampler
-// interface, so every registered strategy migrates the same way.
+// interface.
 
 // MemoryTotal returns the pool-wide |Γ| — the sum of every shard's current
 // memory size, from per-worker atomics. It is the weight a cluster-level

@@ -1,7 +1,7 @@
 // Package shard implements the horizontally scaled ingestion layer of the
-// node sampling service: a pool of independent sampler shards — each one an
-// instance of a registered sampling strategy (core.PoolSampler) owning its
-// own frequency state, sampling memory Γ and worker goroutine. The input
+// node sampling service: a pool of independent sampler shards — each one a
+// core.PoolSampler owning its own frequency state, sampling memory Γ and
+// worker goroutine. The input
 // stream is partitioned by an immutable,
 // epoch-versioned shard map — salted rendezvous hashing over a slot table —
 // so shards never contend with each other, every id keeps routing to one
@@ -90,8 +90,8 @@ type Config struct {
 	// Capacity is c, each shard's sampling memory size. Ignored by Restore,
 	// where the snapshot governs.
 	Capacity int
-	// Sampler is the strategy factory the pool builds its shard samplers
-	// with, resolved from the core registry (core.NewFactory). One template
+	// Sampler is the factory the pool builds its shard samplers with
+	// (core.NewFactory). One template
 	// sampler is built per pool and every shard receives an empty clone of
 	// it, so all shards share one hash/seed family and their state stays
 	// mergeable — the property the Resize hand-off and the snapshot format
@@ -418,9 +418,8 @@ func (w *worker) drainAll(p *Pool) {
 	}
 }
 
-// halveTo applies the strategy's decay step until the shard has applied
-// `target` decay epochs (a sketch halving for the knowledge-free strategy,
-// a slot-seed refresh for basalt). The caller holds w.mu.
+// halveTo applies the sampler's decay step (a sketch halving) until the
+// shard has applied `target` decay epochs. The caller holds w.mu.
 func (w *worker) halveTo(target uint64) {
 	for w.halvings.Load() < target {
 		w.sampler.Decay()
@@ -432,7 +431,7 @@ func (w *worker) halveTo(target uint64) {
 type Pool struct {
 	cfg      Config
 	salt     uint64 // private partition key, see ShardOf
-	strategy string // registry name of the strategy the shards run
+	strategy string // strategy name the shards run, recorded in snapshots
 
 	// smap is the current shard map epoch. It is swapped under mu (write),
 	// but stored atomically so ShardOf and NumShards stay safe without a
@@ -934,11 +933,10 @@ func (p *Pool) Memory() []uint64 {
 	return out
 }
 
-// Estimate returns the owning shard's frequency estimate f̂ for id — for
-// the knowledge-free strategy an upper bound on how often the pool has seen
-// it (within sketch error, and subject to decay), for other strategies
-// whatever frequency knowledge they keep. Resize hand-offs and snapshot
-// restores preserve these estimates; the tests pin that.
+// Estimate returns the owning shard's frequency estimate f̂ for id — an
+// upper bound on how often the pool has seen it (within sketch error, and
+// subject to decay). Resize hand-offs and snapshot restores preserve these
+// estimates; the tests pin that.
 func (p *Pool) Estimate(id uint64) uint64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -948,8 +946,8 @@ func (p *Pool) Estimate(id uint64) uint64 {
 	return w.sampler.Estimate(id)
 }
 
-// Strategy returns the registry name of the sampling strategy the pool's
-// shards run ("knowledge-free", "basalt", ...).
+// Strategy returns the name of the sampling strategy the pool's shards run
+// (core.DefaultStrategy).
 func (p *Pool) Strategy() string { return p.strategy }
 
 // Resize re-partitions the live pool to the given shard count. A flush

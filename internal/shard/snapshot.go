@@ -99,10 +99,10 @@ func (p *Pool) Snapshot() ([]byte, error) {
 // not persist — queueing, backpressure, decay period, per-sampler options
 // (inside cfg.Sampler) and fresh randomness.
 //
-// The strategy recorded in the blob must match the configured one: a blob
-// written under strategy A refuses to restore into a pool configured for
-// strategy B (and a pre-v2 blob, which implies the default knowledge-free
-// strategy, refuses any other), naming both strategies. When the config
+// The strategy recorded in the blob must match the configured factory's
+// name, and must be one core.NewFactory accepts: a blob tagged with the
+// retired "basalt" strategy is refused by name, with or without a factory.
+// A pre-v2 blob implies the default knowledge-free strategy. When the config
 // names no strategy at all (no Sampler factory), the snapshot governs the
 // strategy too. When a factory is configured it also validates that the
 // configured state shape matches the snapshot, so a daemon restarted with
@@ -143,10 +143,6 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 	}
 	factory, configured := cfg.Sampler, cfg.Sampler.New != nil
 	if configured && factory.Name != strategy {
-		if version == 1 {
-			return nil, fmt.Errorf("shard: pre-v2 snapshot carries no strategy tag and implies %q, but the pool is configured for strategy %q",
-				strategy, factory.Name)
-		}
 		return nil, fmt.Errorf("shard: snapshot was written by strategy %q, but the pool is configured for strategy %q",
 			strategy, factory.Name)
 	}
@@ -214,13 +210,8 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 			// Mixed families would make every later Resize merge garbage.
 			return nil, fmt.Errorf("shard %d: snapshot sampler family differs from shard 0", i)
 		}
-		// A strategy's Restore hook may rebuild its memory straight from
-		// the marshalled state (basalt's slot residents live there); the
-		// snapshot's Γ record fills the memory only when it did not.
-		if sampler.MemorySize() == 0 {
-			if err := sampler.RestoreMemory(mem); err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
+		if err := sampler.RestoreMemory(mem); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		w := newWorker(sampler, cfg.Buffer)
 		w.halvings.Store(counters[0])

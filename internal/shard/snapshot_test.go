@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"nodesampling/internal/core"
 	"nodesampling/internal/cursor"
 	"nodesampling/internal/metrics"
 	"nodesampling/internal/rng"
@@ -254,17 +253,19 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 // FuzzRestore throws hostile bytes at the snapshot decoder: it must fail
 // with an error or return a pool that works — one that snapshots again, to
 // a blob that restores again with the same shape. Seeds are real blobs of
-// both strategies and the pre-strategy version 1 layout, whole and cut
-// short, plus a sealed envelope.
+// two pool shapes, whole and cut short, the pre-strategy version 1 layout,
+// a blob re-tagged with the retired "basalt" strategy, and a sealed
+// envelope.
 func FuzzRestore(f *testing.F) {
 	pop := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	for _, name := range core.Strategies() {
-		p, err := New(strategyConfig(f, name, 2, 6, 41))
+	var blob []byte
+	for _, shape := range []struct{ shards, c int }{{2, 6}, {1, 3}} {
+		p, err := New(strategyConfig(shape.shards, shape.c, 41))
 		if err != nil {
 			f.Fatal(err)
 		}
 		feedUniform(f, p, pop, 4, 42)
-		blob, err := p.Snapshot()
+		blob, err = p.Snapshot()
 		_ = p.Close()
 		if err != nil {
 			f.Fatal(err)
@@ -273,15 +274,14 @@ func FuzzRestore(f *testing.F) {
 		f.Add(blob[:len(blob)/2])
 		f.Add(blob[:len(blob)-1])
 		f.Add(append(append([]byte(nil), blob...), 0))
-		if name == core.DefaultStrategy {
-			f.Add(v1Blob(f, blob))
-			sealed, err := SealSnapshot(blob, bytes.Repeat([]byte{7}, SnapshotKeyLen))
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(sealed)
-		}
 	}
+	f.Add(v1Blob(f, blob))
+	f.Add(retagBlob(f, blob, "basalt"))
+	sealed, err := SealSnapshot(blob, bytes.Repeat([]byte{7}, SnapshotKeyLen))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed)
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagic))
 

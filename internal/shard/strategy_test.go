@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -10,20 +11,15 @@ import (
 	"nodesampling/internal/rng"
 )
 
-// strategyConfig builds a pool config for a registered strategy by name.
-func strategyConfig(t testing.TB, name string, shards, c int, seed uint64) Config {
-	t.Helper()
-	factory, err := core.NewFactory(name, core.StrategyParams{K: 16, S: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+// strategyConfig builds a pool config with a 16×4 knowledge-free factory.
+func strategyConfig(shards, c int, seed uint64) Config {
 	return Config{
 		Shards:   shards,
 		Buffer:   16,
 		Block:    true,
 		Seed:     seed,
 		Capacity: c,
-		Sampler:  factory,
+		Sampler:  kfSampler(16, 4),
 	}
 }
 
@@ -49,10 +45,9 @@ func feedUniform(t testing.TB, p *Pool, pop []uint64, rounds int, seed uint64) {
 // ONE sample from each, and returns the chi-square statistic of the sample
 // histogram against uniform over pop. One sample per pool keeps the draws
 // iid across the ensemble: any fixed pool's end-state may legitimately be
-// non-uniform (basalt's slot residents are a deterministic function of its
-// seeds), but over random seeds the marginal of a single sample is uniform
-// for every correct strategy — the same exchangeability argument as the
-// salted shard partition.
+// non-uniform, but over random seeds the marginal of a single sample is
+// uniform — the same exchangeability argument as the salted shard
+// partition.
 func ensembleChi2(t *testing.T, pop []uint64, runs int, build func(r int) *Pool) float64 {
 	t.Helper()
 	byID := metrics.NewHistogram()
@@ -75,7 +70,7 @@ func ensembleChi2(t *testing.T, pop []uint64, runs int, build func(r int) *Pool)
 	return chi
 }
 
-// TestStrategyEnsembleUniformity checks every registered strategy emits
+// TestStrategyEnsembleUniformity checks the knowledge-free sampler emits
 // uniform samples at the pool level. Population 16 with df = 15: the 99.99th
 // percentile of chi2(15) is ~44.3, so 60 only trips on real bias.
 func TestStrategyEnsembleUniformity(t *testing.T) {
@@ -86,27 +81,24 @@ func TestStrategyEnsembleUniformity(t *testing.T) {
 	for i := range pop {
 		pop[i] = uint64(i + 1)
 	}
-	for _, name := range core.Strategies() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			chi := ensembleChi2(t, pop, 256, func(r int) *Pool {
-				p, err := New(strategyConfig(t, name, 2, len(pop), 0x5eed+uint64(r)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedUniform(t, p, pop, 8, 0xfeed+uint64(r))
-				return p
-			})
-			if chi > 60 {
-				t.Fatalf("strategy %s ensemble not uniform: chi2 = %v", name, chi)
+	t.Run(core.DefaultStrategy, func(t *testing.T) {
+		chi := ensembleChi2(t, pop, 256, func(r int) *Pool {
+			p, err := New(strategyConfig(2, len(pop), 0x5eed+uint64(r)))
+			if err != nil {
+				t.Fatal(err)
 			}
+			feedUniform(t, p, pop, 8, 0xfeed+uint64(r))
+			return p
 		})
-	}
+		if chi > 60 {
+			t.Fatalf("ensemble not uniform: chi2 = %v", chi)
+		}
+	})
 }
 
 // TestStrategyEnsembleUniformityAcrossResize repeats the ensemble check
-// with a live 2→4 re-partition mid-ingest, for every strategy: the resize
-// hand-off (CloneEmpty + MergeState) must not bias the samples.
+// with a live 2→4 re-partition mid-ingest: the resize hand-off (CloneEmpty
+// + MergeState) must not bias the samples.
 func TestStrategyEnsembleUniformityAcrossResize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ensemble test")
@@ -115,26 +107,23 @@ func TestStrategyEnsembleUniformityAcrossResize(t *testing.T) {
 	for i := range pop {
 		pop[i] = uint64(i + 1)
 	}
-	for _, name := range core.Strategies() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			chi := ensembleChi2(t, pop, 192, func(r int) *Pool {
-				p, err := New(strategyConfig(t, name, 2, len(pop), 0xabc+uint64(r)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedUniform(t, p, pop, 4, 0xdef+uint64(r))
-				if err := p.Resize(4); err != nil {
-					t.Fatal(err)
-				}
-				feedUniform(t, p, pop, 4, 0x123+uint64(r))
-				return p
-			})
-			if chi > 60 {
-				t.Fatalf("strategy %s ensemble not uniform across resize: chi2 = %v", name, chi)
+	t.Run(core.DefaultStrategy, func(t *testing.T) {
+		chi := ensembleChi2(t, pop, 192, func(r int) *Pool {
+			p, err := New(strategyConfig(2, len(pop), 0xabc+uint64(r)))
+			if err != nil {
+				t.Fatal(err)
 			}
+			feedUniform(t, p, pop, 4, 0xdef+uint64(r))
+			if err := p.Resize(4); err != nil {
+				t.Fatal(err)
+			}
+			feedUniform(t, p, pop, 4, 0x123+uint64(r))
+			return p
 		})
-	}
+		if chi > 60 {
+			t.Fatalf("ensemble not uniform across resize: chi2 = %v", chi)
+		}
+	})
 }
 
 // TestStrategyEnsembleUniformityPostRestore repeats the ensemble check
@@ -148,65 +137,73 @@ func TestStrategyEnsembleUniformityPostRestore(t *testing.T) {
 	for i := range pop {
 		pop[i] = uint64(i + 1)
 	}
-	for _, name := range core.Strategies() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			chi := ensembleChi2(t, pop, 192, func(r int) *Pool {
-				p, err := New(strategyConfig(t, name, 2, len(pop), 0x777+uint64(r)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedUniform(t, p, pop, 8, 0x888+uint64(r))
-				blob, err := p.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := p.Close(); err != nil {
-					t.Fatal(err)
-				}
-				restored, err := Restore(Config{Buffer: 16, Block: true, Seed: 0x999 + uint64(r)}, blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return restored
-			})
-			if chi > 60 {
-				t.Fatalf("strategy %s ensemble not uniform after restore: chi2 = %v", name, chi)
+	t.Run(core.DefaultStrategy, func(t *testing.T) {
+		chi := ensembleChi2(t, pop, 192, func(r int) *Pool {
+			p, err := New(strategyConfig(2, len(pop), 0x777+uint64(r)))
+			if err != nil {
+				t.Fatal(err)
 			}
+			feedUniform(t, p, pop, 8, 0x888+uint64(r))
+			blob, err := p.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Restore(Config{Buffer: 16, Block: true, Seed: 0x999 + uint64(r)}, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return restored
 		})
+		if chi > 60 {
+			t.Fatalf("ensemble not uniform after restore: chi2 = %v", chi)
+		}
+	})
+}
+
+// TestStrategySnapshotMismatchNamesBoth checks a blob tagged with a strategy
+// the pool does not run is refused by name: a knowledge-free snapshot
+// re-tagged "basalt" (the retired strategy) fails to restore under a
+// configured knowledge-free factory, naming both strategies, and with no
+// factory at all, naming basalt.
+func TestStrategySnapshotMismatchNamesBoth(t *testing.T) {
+	p, err := New(strategyConfig(2, 8, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedUniform(t, p, []uint64{1, 2, 3, 4, 5, 6, 7, 8}, 4, 43)
+	blob, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	basalt := retagBlob(t, blob, "basalt")
+	_, err = Restore(strategyConfig(2, 8, 42), basalt)
+	if err == nil {
+		t.Fatal("basalt snapshot restored under a knowledge-free config")
+	}
+	if !strings.Contains(err.Error(), "basalt") || !strings.Contains(err.Error(), core.DefaultStrategy) {
+		t.Fatalf("mismatch error %q does not name both basalt and %q", err, core.DefaultStrategy)
+	}
+	if _, err = Restore(Config{Buffer: 16, Block: true}, basalt); err == nil {
+		t.Fatal("basalt snapshot restored with no configured factory")
+	} else if !strings.Contains(err.Error(), "basalt") {
+		t.Fatalf("factoryless restore error %q does not name basalt", err)
 	}
 }
 
-// TestStrategySnapshotMismatchNamesBoth checks the satellite contract: a
-// snapshot restored under a different configured strategy refuses with an
-// error naming BOTH strategies, in either direction.
-func TestStrategySnapshotMismatchNamesBoth(t *testing.T) {
-	pop := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	cases := []struct{ wrote, configured string }{
-		{"basalt", "knowledge-free"},
-		{"knowledge-free", "basalt"},
-	}
-	for _, tc := range cases {
-		p, err := New(strategyConfig(t, tc.wrote, 2, 8, 42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedUniform(t, p, pop, 4, 43)
-		blob, err := p.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-		_, err = Restore(strategyConfig(t, tc.configured, 2, 8, 42), blob)
-		if err == nil {
-			t.Fatalf("%s snapshot restored under %s config", tc.wrote, tc.configured)
-		}
-		if !strings.Contains(err.Error(), tc.wrote) || !strings.Contains(err.Error(), tc.configured) {
-			t.Fatalf("mismatch error %q does not name both %q and %q", err, tc.wrote, tc.configured)
-		}
-	}
+// retagBlob rewrites a version-2 snapshot's strategy tag to name.
+func retagBlob(t testing.TB, v2 []byte, name string) []byte {
+	t.Helper()
+	body := v1Blob(t, v2)[8:]
+	blob := append([]byte(snapshotMagic), 0, 0, 0, 2)
+	blob = binary.BigEndian.AppendUint32(blob, uint32(len(name)))
+	blob = append(blob, name...)
+	return append(blob, body...)
 }
 
 // v1Blob rewrites a version-2 snapshot as the pre-strategy version-1
@@ -231,12 +228,12 @@ func v1Blob(t testing.TB, v2 []byte) []byte {
 
 // TestStrategyV1SnapshotCompat is the acceptance check for old blobs: a
 // hand-built version-1 snapshot (no strategy tag) restores bit-identical
-// estimates under the default strategy, and refuses under any other with
-// an error naming both strategies.
+// estimates under the default strategy, and snapshots again to exactly the
+// version-2 blob it was derived from.
 func TestStrategyV1SnapshotCompat(t *testing.T) {
 	const hot = uint64(7)
 	pop := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	p, err := New(strategyConfig(t, core.DefaultStrategy, 2, 12, 77))
+	p, err := New(strategyConfig(2, 12, 77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +264,7 @@ func TestStrategyV1SnapshotCompat(t *testing.T) {
 
 	// Under the default strategy (or no strategy at all) the v1 blob
 	// restores with bit-identical estimates.
-	restored, err := Restore(strategyConfig(t, core.DefaultStrategy, 2, 12, 77), v1)
+	restored, err := Restore(strategyConfig(2, 12, 77), v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,17 +273,14 @@ func TestStrategyV1SnapshotCompat(t *testing.T) {
 			t.Fatalf("v1-restored estimate of %d is %d, want %d", id, got, want[id])
 		}
 	}
-	if err := restored.Close(); err != nil {
+	again, err := restored.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Under basalt the pre-v2 blob refuses, naming the implied default and
-	// the configured strategy.
-	_, err = Restore(strategyConfig(t, "basalt", 2, 12, 77), v1)
-	if err == nil {
-		t.Fatal("v1 blob restored under basalt config")
+	if !bytes.Equal(again, v2) {
+		t.Fatal("v1-restored pool does not snapshot to the original v2 bytes")
 	}
-	if !strings.Contains(err.Error(), core.DefaultStrategy) || !strings.Contains(err.Error(), "basalt") {
-		t.Fatalf("v1 mismatch error %q does not name both strategies", err)
+	if err := restored.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

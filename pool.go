@@ -124,10 +124,9 @@ func NewPool(c, shards int, opts ...Option) (*Pool, error) {
 }
 
 // poolShardConfig translates the public options into the internal shard
-// configuration shared by NewPool and RestorePool: the strategy name
-// resolves against the core registry, binding the sketch shape (or accuracy
-// targets) and per-sampler options into one factory every shard builds
-// from.
+// configuration shared by NewPool and RestorePool: core.NewFactory checks
+// the strategy name and binds the sketch shape (or accuracy targets) and
+// per-sampler options into one factory every shard builds from.
 func poolShardConfig(c, shards int, cfg config) (shard.Config, error) {
 	factory, err := core.NewFactory(cfg.strategy, core.StrategyParams{
 		K: cfg.k, S: cfg.s,

@@ -86,13 +86,11 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithStrategy selects the sampling strategy by registry name. The default
-// is "knowledge-free", the paper's Algorithm 3; "basalt" selects the
-// BASALT-style seeded-ranking sampler (sketch-free — the sketch options are
-// ignored by strategies that keep no sketch). Strategies lists the
-// registered names. The strategy applies to NewSampler and to every shard
-// of a NewPool, and is recorded in Pool.Snapshot blobs: a snapshot restores
-// only under the strategy that wrote it.
+// WithStrategy names the sampling strategy. The only one is
+// "knowledge-free", the paper's Algorithm 3 and the default; any other name
+// makes NewSampler and NewPool fail (the retired "basalt" by name). The
+// strategy is recorded in Pool.Snapshot blobs: a snapshot restores only
+// under the strategy that wrote it.
 func WithStrategy(name string) Option {
 	return func(c *config) error {
 		if name == "" {
@@ -103,7 +101,7 @@ func WithStrategy(name string) Option {
 	}
 }
 
-// Strategies lists the registered sampling strategy names, sorted.
+// Strategies lists the sampling strategy names WithStrategy accepts.
 func Strategies() []string { return core.Strategies() }
 
 // WithSketch sets the Count-Min sketch shape to k columns × s rows (the
@@ -191,8 +189,8 @@ func seedFromEntropy() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// strategySampler adapts any registered core.PoolSampler strategy to the
-// public NodeID API.
+// strategySampler adapts the factory-built core.PoolSampler to the public
+// NodeID API.
 type strategySampler struct {
 	inner core.PoolSampler
 }
@@ -239,12 +237,11 @@ func (a oracleAdapter) Prob(id uint64) float64 { return a.o.Prob(NodeID(id)) }
 func (a oracleAdapter) MinProb() float64       { return a.o.MinProb() }
 
 // NewSampler returns the sampling service with sampling memory capacity c,
-// running the configured strategy (WithStrategy; the default is the paper's
-// knowledge-free Algorithm 3, estimating frequencies online with a
-// Count-Min sketch sized by WithSketch or WithSketchAccuracy, default
-// 50×10).
+// running the paper's knowledge-free Algorithm 3, estimating frequencies
+// online with a Count-Min sketch sized by WithSketch or WithSketchAccuracy
+// (default 50×10).
 //
-// Sizing rule for the default strategy: keep the sketch width k well below
+// Sizing rule: keep the sketch width k well below
 // the expected number of distinct identifiers in the stream (the paper's
 // evaluation uses k ∈ [10, 50] for populations of 1000). If a sketch column
 // is never hit — possible when k approaches the population size — the

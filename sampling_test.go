@@ -3,6 +3,7 @@ package nodesampling
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"nodesampling/internal/metrics"
@@ -37,6 +38,17 @@ func TestNewSamplerValidation(t *testing.T) {
 	}
 	if _, err := NewSampler(5, WithSketchAccuracy(0.5, 2)); err == nil {
 		t.Error("bad delta should fail")
+	}
+	if _, err := NewSampler(5, WithStrategy("basalt")); err == nil {
+		t.Error("the retired basalt strategy should fail")
+	} else if !strings.Contains(err.Error(), "basalt") {
+		t.Errorf("error %v does not name basalt", err)
+	}
+	if names := Strategies(); len(names) != 1 || names[0] != "knowledge-free" {
+		t.Errorf("Strategies() = %v, want [knowledge-free]", names)
+	}
+	if _, err := NewSampler(5, WithStrategy("knowledge-free")); err != nil {
+		t.Errorf("knowledge-free strategy: %v", err)
 	}
 }
 
