@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,6 +63,7 @@ var perfSuite = []struct {
 	{"PoolSubscribeFanout/subs=1", "ns/id", func(b *testing.B) { perfPoolFanout(b, 1) }},
 	{"PoolSubscribeFanout/subs=4", "ns/id", func(b *testing.B) { perfPoolFanout(b, 4) }},
 	{"PoolSubscribeFanout/subs=16", "ns/id", func(b *testing.B) { perfPoolFanout(b, 16) }},
+	{"PoolSigmaBatch/shards=4,subs=2", "ns/id", perfPoolSigmaBatch},
 	{"ControllerTick", "ns/op", perfControllerTick},
 	{"SketchAddEstimate/fused", "ns/op", perfSketchAdd},
 	{"SketchAddEstimate/k50s10", "ns/op", func(b *testing.B) { perfDaemonPoint(b, "sketch", false) }},
@@ -107,6 +109,26 @@ func perfDaemonPoint(b *testing.B, layer string, flood bool) {
 		b.Fatal(err)
 	}
 	probe := telemetry.NewProbe(4096, 8)
+	batches := daemonPointBatches(flood)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 1024 {
+		ids := batches[(i>>10)&63]
+		switch layer {
+		case "sketch":
+			for _, id := range ids {
+				perfSink += sk.AddEstimate(id)
+			}
+		case "sampler": // sketch + Γ membership + admission, as a shard worker runs it
+			kf.ProcessBatch(ids)
+		case "probe": // the gauge's input window, on the connection goroutine
+			probe.Offer(ids)
+		}
+	}
+}
+
+// daemonPointBatches is perfDaemonPoint's input: 64 batches of 1024 ids,
+// uniform over 100 000 ids or, with flood set, the targeted flood.
+func daemonPointBatches(flood bool) [][]uint64 {
 	r := rng.New(13)
 	batches := make([][]uint64, 64)
 	for i := range batches {
@@ -122,19 +144,51 @@ func perfDaemonPoint(b *testing.B, layer string, flood bool) {
 			}
 		}
 	}
+	return batches
+}
+
+// perfPoolSigmaBatch is the σ′ plane in the daemon's shape: a 4-shard pool
+// at the daemon's point (c 25, k 50, s 10, blocking 64-batch queues) fed
+// the 1024-id flood batches benchmark/'s sigma_fanout sends, with two
+// subscribers draining through Next as the daemon's stream writers do — not
+// through C's per-id channel, which the daemon never uses. b.N counts ids.
+func perfPoolSigmaBatch(b *testing.B) {
+	factory, err := core.NewFactory(core.DefaultStrategy, core.StrategyParams{K: 50, S: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := shard.New(shard.Config{Shards: 4, Buffer: 64, Block: true, Seed: 1, Capacity: 25, Sampler: factory})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer func() { _ = p.Close() }() // cancels the subscriptions: Next returns false
+	for i := 0; i < 2; i++ {
+		sub, err := p.Subscribe(16384)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]uint64, 4096)
+			for {
+				if _, ok := sub.Next(buf); !ok {
+					return
+				}
+			}
+		}()
+	}
+	batches := daemonPointBatches(true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 1024 {
-		ids := batches[(i>>10)&63]
-		switch layer {
-		case "sketch":
-			for _, id := range ids {
-				perfSink += sk.AddEstimate(id)
-			}
-		case "sampler": // sketch + Γ membership + admission, as a shard worker runs it
-			kf.ProcessBatch(ids)
-		case "probe": // the gauge's input window, on the connection goroutine
-			probe.Offer(ids)
+		if err := p.PushBatch(batches[(i>>10)&63]); err != nil {
+			b.Fatal(err)
 		}
+	}
+	if err := p.Flush(); err != nil {
+		b.Fatal(err)
 	}
 }
 

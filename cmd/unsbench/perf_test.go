@@ -65,11 +65,12 @@ func TestPerfFilterValidation(t *testing.T) {
 
 // TestPerfSuiteCoversTheTrackedPaths pins the suite composition: the
 // artifact must track PushBatch across shard counts, the fan-out plane,
-// the autoscale controller tick, and the per-id step under a flood.
+// the autoscale controller tick, the per-id step under a flood, and the σ′
+// plane in the daemon's shape.
 func TestPerfSuiteCoversTheTrackedPaths(t *testing.T) {
 	want := []string{
 		"PoolPushBatch/shards=1", "PoolPushBatch/shards=4", "PoolPushBatch/shards=8",
-		"PoolSubscribeFanout/subs=0", "PoolSubscribeFanout/subs=16",
+		"PoolSubscribeFanout/subs=0", "PoolSubscribeFanout/subs=16", "PoolSigmaBatch/shards=4,subs=2",
 		"ControllerTick",
 		"SketchAddEstimate/k50s10-flood", "KnowledgeFreeProcessBatch/c25k50s10-flood",
 	}

@@ -442,9 +442,10 @@ func (s *streamServer) handle(conn net.Conn) {
 
 // streamWriter forwards a subscription's σ′ draws as StreamData frames, a
 // batch at a time: whatever the ring holds when Next returns (up to the wire
-// limit) becomes one frame and one socket write, so what accumulates during
-// a write rides the next frame and a fast stream costs one syscall per
-// burst rather than per id. It is the subscription's only goroutine, and
+// limit) becomes one frame and one socket write. The pool publishes a
+// pushed batch's draws at once, so a writer that keeps up sends one frame
+// per pushed batch, and what accumulates during a write rides the next
+// frame: a fast stream costs one syscall per burst rather than per id. It is the subscription's only goroutine, and
 // waits in Next without the connection's write lock, which the read loop's
 // Pongs share. Exits when the subscription is cancelled or the connection
 // dies.

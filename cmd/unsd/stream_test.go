@@ -666,3 +666,69 @@ func TestStreamSubscribersReceiveEmittedSequence(t *testing.T) {
 		return uint64(got) == frames
 	})
 }
+
+// TestStreamOneFramePerPushedBatch: a pushed frame's σ′ leaves the 4-shard
+// pool as one publish, so a subscriber that keeps up receives exactly one
+// StreamData frame per pushed frame — not one per shard part.
+func TestStreamOneFramePerPushedBatch(t *testing.T) {
+	d, ln := testStreamDaemon(t, defaultOptions())
+	ts := httptest.NewServer(d.handler())
+	defer ts.Close()
+	var received [2]atomic.Uint64
+	for i := range received {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := netgossip.WriteFrame(conn, netgossip.Frame{Type: netgossip.FrameSubscribe, N: maxSubscribeBuffer, Every: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := netgossip.ReadFrame(conn); err != nil || f.Type != netgossip.FrameSubAck {
+			t.Fatalf("subscriber %d: (%+v, %v), want the SubAck", i, f, err)
+		}
+		go func() {
+			fr := netgossip.NewFrameReader(conn)
+			for {
+				f, err := fr.Read()
+				if err != nil {
+					return // closed by the test
+				}
+				received[i].Add(uint64(len(f.IDs)))
+			}
+		}()
+	}
+	pusher, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pusher.Close()
+	frames := func() uint64 {
+		v, _ := scrapeMetrics(t, ts).Value("unsd_stream_data_frames_total")
+		return uint64(v)
+	}
+	before := frames()
+	const pushes = 50
+	batch := make([]nodesampling.NodeID, 1000)
+	for f := 0; f < pushes; f++ {
+		for i := range batch {
+			batch[i] = nodesampling.NodeID(1 + (f*len(batch)+i)%5000)
+		}
+		if err := pusher.PushBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := pusher.Ping(); err != nil { // the frame is ingested
+			t.Fatal(err)
+		}
+		want := uint64((f + 1) * len(batch)) // one draw per id
+		waitFor(t, "both subscribers to receive the frame's draws", func() bool {
+			return received[0].Load() == want && received[1].Load() == want
+		})
+	}
+	// A frame is counted once its write has returned, which the far end's
+	// read can beat by a moment.
+	waitFor(t, "the StreamData frame count", func() bool { return frames()-before >= 2*pushes })
+	if got := frames() - before; got != 2*pushes {
+		t.Fatalf("%d StreamData frames for %d pushed frames to 2 subscribers, want %d", got, pushes, 2*pushes)
+	}
+}

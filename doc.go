@@ -125,10 +125,12 @@
 //
 // The paper's service is stream-in/stream-out: Algorithm 1 continuously
 // emits the output stream σ′. Pool.Subscribe restores that surface at
-// sharded throughput: shard workers draw one output element per ingested
-// id (only while at least one subscription is live) and a subscription hub
-// fans the draws out to every subscriber through fixed-capacity buffers
-// with a non-blocking drop-oldest policy. A slow subscriber therefore
+// sharded throughput: a batch pushed while at least one subscription is
+// live draws one output element per ingested id, each shard worker drawing
+// its part into one shared buffer, and the batch's draws are published
+// once, in shard order, through a subscription hub that fans them out to
+// every subscriber through fixed-capacity buffers with a non-blocking
+// drop-oldest policy. A slow subscriber therefore
 // loses the oldest buffered elements — which a sampling stream can always
 // afford, since a later draw carries the same information — and never
 // backpressures ingestion; Stats reports exact per-subscriber
@@ -137,7 +139,8 @@
 // drained with Next, which blocks until draws are buffered and moves up to
 // a buffer's worth out under one lock, so the daemon's stream writer runs
 // ring → Next → one StreamData frame → one socket write on a single
-// goroutine per subscriber, allocating nothing per frame
+// goroutine per subscriber, allocating nothing per frame — one StreamData
+// frame per subscriber per pushed batch while the subscriber keeps up
 // (unsd_subscriber_delivered_ids_total over unsd_stream_data_frames_total
 // is the batch a write carries). The channels this package hands out
 // (PoolSubscription.C, Service.Subscribe) sit on the hub's C, an adapter
@@ -263,8 +266,8 @@
 // (unsd_snapshot_write_duration_seconds) and shard-pool resize hand-off
 // time (unsd_resize_duration_seconds). For depth beyond distributions,
 // -trace-sample=N records one in N ingest batches as a span tree — the
-// ingest root, a shard span per worker sub-batch, and the σ′ emit and
-// delivery spans (internal/spans: a bounded lock-free ring, one atomic add
+// ingest root, a shard span per worker sub-batch, and the batch's σ′ emit
+// and delivery spans under the last sub-batch to finish (internal/spans: a bounded lock-free ring, one atomic add
 // per unsampled batch) — served by GET /trace as Chrome trace-event JSON
 // behind the admin token; open it in a trace viewer to see where a batch's
 // time went. dashboards/unsd.json is a committed Grafana dashboard over

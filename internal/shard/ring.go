@@ -38,12 +38,13 @@ type ring struct {
 }
 
 // ringItem is one unit of work in a shard queue: a sub-batch of ids, the
-// wire batch's ingest span context, and the refcounted payload the ids
-// alias (nil when the batch owns its slice outright, e.g. single-id Push).
+// wire batch's ingest span context, the refcounted payload the ids alias
+// and the part's index in it (its σ′ window is pl.parts[part]).
 type ringItem struct {
-	ids []uint64
-	tc  spans.Context
-	pl  *payload
+	ids  []uint64
+	tc   spans.Context
+	pl   *payload
+	part int
 }
 
 type ringSlot struct {

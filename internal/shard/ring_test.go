@@ -123,11 +123,11 @@ func TestRingMPSC(t *testing.T) {
 
 // TestPooledBuffersNoAliasing floods a blocking multi-shard pool from many
 // goroutines with unique, recognisably-tagged ids while a sampler reads
-// concurrently. If payload or draw-buffer recycling ever let two in-flight
-// batches alias the same backing array, a worker would observe (and the
-// memory would retain) ids that were never pushed — or the processed count
-// would diverge. Run under -race this is the recycling suite's aliasing
-// proof.
+// concurrently. If payload recycling ever let two in-flight batches alias
+// the same ids or the same shared draw buffer, a worker would observe (and
+// the memory would retain) ids that were never pushed, σ′ would carry them,
+// or the processed count and the draws offered would diverge. Run under
+// -race this is the recycling suite's aliasing proof.
 func TestPooledBuffersNoAliasing(t *testing.T) {
 	p := newTestPool(t, 4, 64, 100, 2, true, 0)
 	sub, err := p.Subscribe(256)
@@ -198,4 +198,7 @@ func TestPooledBuffersNoAliasing(t *testing.T) {
 			t.Fatalf("memory retains id %#x that was never pushed", id)
 		}
 	}
+	// A payload published twice, or recycled before its draws were, would
+	// break the one-draw-per-processed-id ledger.
+	waitSettled(t, p, sub)
 }

@@ -27,11 +27,14 @@
 // into a live pool, so a restarted daemon does not forget attacker
 // frequencies.
 //
-// The pool also carries the paper's output surface: while at least one
-// subscription is live (Subscribe), workers draw one σ′ element per
-// ingested id and hand the draws — via a non-blocking pool-level output
-// channel — to a subscription hub (internal/subhub) that fans them out
-// under a drop-oldest policy, so a slow subscriber sheds stream elements
+// The pool also carries the paper's output surface: a batch pushed while at
+// least one subscription is live (Subscribe) draws one σ′ element per
+// ingested id, each shard's worker drawing its part into that part's window
+// of one shared draw buffer. The last part to finish hands the whole
+// batch's draws, in shard order, to a non-blocking pool-level output
+// channel, and the emitter publishes them through a subscription hub
+// (internal/subhub) that fans them out under a drop-oldest policy — one
+// publish per pushed batch — so a slow subscriber sheds stream elements
 // instead of slowing ingestion. With Config.DecayEvery set, all shards
 // apply their strategy's decay step on one global decay epoch derived from
 // the pool-wide ingest count, keeping per-shard frequency estimates
@@ -101,9 +104,10 @@ type Config struct {
 	// (eviction policy, conservative update) ride inside the factory's
 	// bound core.StrategyParams; Snapshot does not persist them.
 	Sampler core.SamplerFactory
-	// EmitBuffer is the capacity of the pool-level output channel, in draw
-	// batches (default 4 per shard). It bounds how far σ′ generation may run
-	// ahead of the subscription hub; overflow drops whole draw batches
+	// EmitBuffer is the capacity of the pool-level output channel, in whole
+	// pushed batches' draws (default 4 per shard, so a 4-shard pool holds 16
+	// pushed batches). It bounds how far σ′ generation may run ahead of the
+	// subscription hub; overflow drops a pushed batch's draws whole
 	// (counted) rather than stalling shard workers.
 	EmitBuffer int
 	// DecayEvery, when positive, halves every shard's sketch each time the
@@ -116,11 +120,12 @@ type Config struct {
 	// before its estimates are next consulted; a Flush not racing
 	// concurrent pushes leaves every shard at the same epoch.
 	DecayEvery uint64
-	// OnEmitLag, when set, observes the lag in seconds between a shard
-	// worker emitting a σ′ draw batch and the emitter starting its fan-out
-	// — the daemon feeds it a latency histogram. The hook runs on the
-	// emitter goroutine, once per draw batch; it must not block. When nil
-	// (every non-daemon pool), the emit path does not even read the clock.
+	// OnEmitLag, when set, observes the lag in seconds between the last
+	// part of a pushed batch handing its σ′ draws off and the emitter
+	// starting their fan-out — the daemon feeds it a latency histogram. The
+	// hook runs on the emitter goroutine, once per pushed batch; it must not
+	// block. When nil (every non-daemon pool), the emit path does not even
+	// read the clock.
 	OnEmitLag func(seconds float64)
 }
 
@@ -329,21 +334,18 @@ func (w *worker) run(p *Pool) {
 	}
 }
 
-// process runs one id batch through the shard's sampler and releases its
-// payload reference.
+// process runs one id batch through the shard's sampler — drawing its σ′
+// into the part's window when the batch was pushed with a live subscriber —
+// and releases its payload reference.
 func (w *worker) process(p *Pool, it ringItem) {
 	n := len(it.ids)
 	sc := it.tc.Start("shard")
-	// Gate σ′ generation on a single atomic load: with no live
-	// subscriber the batch path is exactly the draw-free fast path.
-	emit := p.hub.Active()
-	var dp *[]uint64
+	pl := it.pl
 	draws := 0
 	w.mu.Lock()
-	if emit {
-		dp = drawPool.Get().(*[]uint64)
-		*dp = w.sampler.ProcessBatchEmit(it.ids, (*dp)[:0])
-		draws = len(*dp)
+	if len(pl.draws) > 0 {
+		pl.parts[it.part] = w.sampler.ProcessBatchEmit(it.ids, pl.parts[it.part])
+		draws = len(pl.parts[it.part])
 	} else {
 		w.sampler.ProcessBatch(it.ids)
 	}
@@ -357,17 +359,10 @@ func (w *worker) process(p *Pool, it ringItem) {
 	w.memSize.Store(int64(w.sampler.MemorySize()))
 	w.mu.Unlock()
 	w.processed.Add(uint64(n))
-	if it.pl != nil {
-		it.pl.release()
-	}
-	if dp != nil {
-		if draws > 0 {
-			p.emit(dp, sc)
-		} else {
-			drawPool.Put(dp)
-		}
-	}
+	// The shard span is recorded before the batch can reach the emitter, so
+	// a trace never holds an "emit" span whose parent is not there yet.
 	sc.End(spans.Int("shard", w.idx), spans.Int("ids", n), spans.Int("draws", draws))
+	p.release(pl, sc)
 }
 
 // barrier services one flush barrier: drain every batch enqueued before the
@@ -439,9 +434,9 @@ type Pool struct {
 	// with workers.
 	smap atomic.Pointer[Placement]
 
-	// The streaming output plane: workers append per-id output draws onto
-	// out (non-blocking; overflow counted in emitDropped), and the emitter
-	// goroutine publishes them through the subscription hub.
+	// The streaming output plane: the last part of each drawing batch hands
+	// its draws to out (non-blocking; overflow counted in emitDropped), and
+	// the emitter goroutine publishes them through the subscription hub.
 	hub         *subhub.Hub
 	out         chan emitBatch
 	emitDropped atomic.Uint64
@@ -526,20 +521,21 @@ func (p *Pool) start() {
 	go p.emitLoop()
 }
 
-// emitBatch is one shard worker's σ′ draw batch in flight to the emitter:
-// a pooled draw buffer (the emitter returns it to drawPool after the hub
-// fan-out, which copies into subscriber buffers), the hand-off timestamp
-// (zero unless something downstream will read it — the lag histogram hook
-// or a sampled trace) and the open "emit" span covering the queue wait.
+// emitBatch is one pushed batch's σ′ in flight to the emitter: its payload
+// (draws holds the settled draws; the emitter returns the payload to the
+// pool after the hub fan-out, which copies into subscriber buffers), the
+// last part's hand-off timestamp (zero unless something downstream will
+// read it — the lag histogram hook or a sampled trace) and the open "emit"
+// span covering the queue wait.
 type emitBatch struct {
-	dp *[]uint64
-	at int64 // time.Now().UnixNano() at worker hand-off; 0 = unstamped
+	pl *payload
+	at int64 // time.Now().UnixNano() at the hand-off; 0 = unstamped
 	tc spans.Context
 }
 
-// emitLoop publishes draw batches from the pool output channel through the
+// emitLoop publishes σ′ batches from the pool output channel through the
 // hub, then closes the hub (cancelling the remaining subscriptions) once
-// the channel is closed by Close. Per batch it observes the worker→hub lag
+// the channel is closed by Close. Per batch it observes the hand-off→hub lag
 // (Config.OnEmitLag) and, on sampled traces, closes the "emit" span (queue
 // wait) and records a "delivery" child span around the hub fan-out.
 func (p *Pool) emitLoop() {
@@ -550,21 +546,30 @@ func (p *Pool) emitLoop() {
 		}
 		dc := eb.tc.Start("delivery")
 		eb.tc.End()
-		draws := *eb.dp
+		draws := eb.pl.draws
 		p.hub.Publish(draws)
 		dc.End(spans.Int("ids", len(draws)))
-		drawPool.Put(eb.dp)
+		payloadPool.Put(eb.pl)
 	}
 	p.hub.Close()
 }
 
-// emit hands one shard's draw batch to the emitter without ever blocking a
-// worker: when the output channel is full the batch is dropped and counted.
-// σ′ is a sampling stream, so a lost batch costs nothing a later draw does
-// not replace. sc is the worker's open "shard" span; a sampled batch opens
-// an "emit" child covering the queue wait to the emitter.
-func (p *Pool) emit(dp *[]uint64, sc spans.Context) {
-	eb := emitBatch{dp: dp}
+// release drops one part's reference to pl, once its worker processed it or
+// a full queue dropped it. The last part out hands a batch that drew σ′ to
+// the emitter whole, its draws in shard order, and recycles any other
+// payload. The hand-off never blocks: when the output channel is full the
+// draws are dropped and counted, which a sampling stream can afford. sc is
+// the part's "shard" span (the ingest span on the drop path); a sampled
+// batch opens its "emit" child there, covering the queue wait.
+func (p *Pool) release(pl *payload, sc spans.Context) {
+	if pl.refs.Add(-1) != 0 {
+		return
+	}
+	if len(pl.draws) == 0 || pl.settle() == 0 {
+		payloadPool.Put(pl)
+		return
+	}
+	eb := emitBatch{pl: pl}
 	if p.cfg.OnEmitLag != nil || sc.Sampled() {
 		eb.at = time.Now().UnixNano()
 	}
@@ -574,8 +579,8 @@ func (p *Pool) emit(dp *[]uint64, sc spans.Context) {
 	select {
 	case p.out <- eb:
 	default:
-		p.emitDropped.Add(uint64(len(*dp)))
-		drawPool.Put(dp)
+		p.emitDropped.Add(uint64(len(pl.draws)))
+		payloadPool.Put(pl)
 		eb.tc.End(spans.Str("outcome", "dropped"))
 	}
 }
@@ -689,13 +694,7 @@ func (p *Pool) LoadSignals() LoadSignals {
 // Push feeds a single id. PushBatch is the efficient path; Push exists for
 // drop-in compatibility with single-id producers.
 func (p *Pool) Push(id uint64) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrPoolClosed
-	}
-	p.send(p.smap.Load().Owner(rng.Mix64(id^p.salt)), []uint64{id}, nil, spans.Context{})
-	return nil
+	return pushBatchOf(p, []uint64{id}, spans.Context{})
 }
 
 // PushBatch partitions ids across the shards and enqueues one sub-batch per
@@ -707,9 +706,9 @@ func (p *Pool) PushBatch(ids []uint64) error {
 }
 
 // PushBatchTraced is PushBatch carrying an open ingest span context: every
-// per-shard sub-batch records a "shard" child span (and its σ′ draws an
-// "emit"/"delivery" chain) under tc's trace. The zero Context makes it
-// exactly PushBatch.
+// per-shard sub-batch records a "shard" child span under tc's trace, and
+// the last to finish the batch's σ′ "emit"/"delivery" chain. The zero
+// Context makes it exactly PushBatch.
 func (p *Pool) PushBatchTraced(ids []uint64, tc spans.Context) error {
 	return pushBatchOf(p, ids, tc)
 }
@@ -734,13 +733,16 @@ func pushBatchOf[T ~uint64](p *Pool, ids []T, tc spans.Context) error {
 	}
 	m := p.smap.Load()
 	n := len(p.workers)
-	pl := getPayload(len(ids))
+	// Whether the batch draws σ′ is decided here, on one atomic load: with
+	// no live subscriber every part takes the draw-free fast path.
+	pl := getPayload(len(ids), p.hub.Active())
 	if n == 1 {
 		for i, id := range ids {
 			pl.buf[i] = uint64(id)
 		}
+		pl.parts = append(pl.parts[:0], pl.draws[:0])
 		pl.refs.Store(1)
-		p.send(0, pl.buf, pl, tc)
+		p.send(0, 0, pl, pl.buf, tc)
 		return nil
 	}
 	// Counting sort into one pooled backing array: contiguous per-shard
@@ -772,23 +774,31 @@ func pushBatchOf[T ~uint64](p *Pool, ids []T, tc spans.Context) error {
 	}
 	// The refcount must cover every sub-batch before the first send: a fast
 	// shard could process and release its share — driving refs to zero and
-	// recycling the payload — while later sends still alias it.
+	// recycling the payload — while later sends still alias it. For the
+	// same reason parts is sized once, up front; part k's draw window, at
+	// its ids' offsets, is in place before part k is sent.
 	pl.refs.Store(int32(nonEmpty))
+	pl.parts = resize(pl.parts, nonEmpty)
+	k := 0
 	for i := 0; i < n; i++ {
-		if b := backing[counts[n+i]:counts[i]:counts[i]]; len(b) > 0 {
-			p.send(i, b, pl, tc)
+		if lo, hi := counts[n+i], counts[i]; hi > lo {
+			if len(pl.draws) > 0 {
+				pl.parts[k] = pl.draws[lo:lo:hi]
+			}
+			p.send(i, k, pl, backing[lo:hi:hi], tc)
+			k++
 		}
 	}
 	scratchPool.Put(sc)
 	return nil
 }
 
-// send enqueues one sub-batch on shard i; the caller holds mu for reading.
-// pl is the refcounted payload batch aliases (nil when the batch owns its
-// backing array); the drop path must release it like a worker would.
-func (p *Pool) send(i int, batch []uint64, pl *payload, tc spans.Context) {
+// send enqueues part k of pl, the sub-batch batch, on shard i; the caller
+// holds mu for reading. The drop path releases the part like a worker
+// would, so a dropped part never strands its siblings' draws.
+func (p *Pool) send(i, k int, pl *payload, batch []uint64, tc spans.Context) {
 	w := p.workers[i]
-	it := ringItem{ids: batch, pl: pl, tc: tc}
+	it := ringItem{ids: batch, pl: pl, part: k, tc: tc}
 	if p.cfg.Block {
 		w.push(it)
 		return
@@ -798,9 +808,7 @@ func (p *Pool) send(i int, batch []uint64, pl *payload, tc spans.Context) {
 		return
 	}
 	w.dropped.Add(uint64(len(batch)))
-	if pl != nil {
-		pl.release()
-	}
+	p.release(pl, tc)
 }
 
 // barrierLocked posts a flush barrier to every worker's control channel and

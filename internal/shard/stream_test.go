@@ -1,11 +1,15 @@
 package shard
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"nodesampling/internal/rng"
+	"nodesampling/internal/subhub"
 )
 
 // TestSubscribeReceivesOutputStream subscribes before pushing and checks
@@ -304,5 +308,155 @@ func TestStalledSubscriberAccounting(t *testing.T) {
 	}
 	if p.NumSubscribers() != 0 {
 		t.Fatalf("NumSubscribers after cancel = %d", p.NumSubscribers())
+	}
+}
+
+// waitSettled waits until every draw of the processed ids has reached sub
+// or been shed by the emitter. Every processed id draws once: a shard's
+// first id is always admitted, so its Γ is never empty when it draws.
+func waitSettled(t *testing.T, p *Pool, sub *subhub.Subscription) Stats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := p.Stats()
+		if sub.Offered()+st.EmitDropped == st.Processed {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("draws never settled: offered %d + emit-dropped %d != processed %d",
+				sub.Offered(), st.EmitDropped, st.Processed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSigmaBatchMatchesShardReference pins the per-batch emit path: σ′ over
+// 200 pushed batches equals, batch by batch, the shard-order concatenation
+// of what each shard's sampler emits for its sub-batch. The reference
+// replays the same sub-batches through the samplers of a twin pool built
+// from the same Config — the pool's samplers as they were before its first
+// push — which no worker ever touches.
+func TestSigmaBatchMatchesShardReference(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := testConfig(8, 16, 16, 4, true, 8)
+			cfg.EmitBuffer = 256 // every batch fits: none may be shed
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = p.Close() }()
+			twin := newTestPool(t, 8, 16, 16, 4, true, 8)
+			sub, err := p.Subscribe(subhub.MaxSubscriptionBuffer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Cancel()
+			src := rng.New(34)
+			var want [][]uint64
+			for b := 0; b < 200; b++ {
+				// At least 256 ids over 8 shards: every batch touches every
+				// shard, so batches reach the emitter in push order.
+				batch := make([]uint64, 256+src.Intn(769))
+				for i := range batch {
+					batch[i] = src.Uint64n(1 << 40)
+				}
+				if err := p.PushBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				parts := make([][]uint64, len(twin.workers))
+				for _, id := range batch {
+					s := p.ShardOf(id)
+					parts[s] = append(parts[s], id)
+				}
+				var draws []uint64
+				for i, part := range parts {
+					w := twin.workers[i]
+					w.mu.Lock()
+					draws = w.sampler.ProcessBatchEmit(part, draws)
+					w.mu.Unlock()
+				}
+				want = append(want, draws)
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if st := waitSettled(t, p, sub); st.EmitDropped != 0 {
+				t.Fatalf("%d draws shed with room for every batch", st.EmitDropped)
+			}
+			got := make([]uint64, 0, sub.Offered())
+			buf := make([]uint64, 4096)
+			for uint64(len(got)) < sub.Offered() {
+				ids, _ := sub.Next(buf)
+				got = append(got, ids...)
+			}
+			for b, w := range want {
+				if len(got) < len(w) || !slices.Equal(got[:len(w)], w) {
+					t.Fatalf("batch %d: σ′ differs from the shard-order reference", b)
+				}
+				got = got[len(w):]
+			}
+		})
+	}
+}
+
+// TestSigmaBatchAccountingThroughDrops pushes through a non-blocking pool
+// whose 2-slot rings drop whole parts, mixes in single-id Pushes, and
+// cancels one of two subscriptions mid-stream: a dropped part must never
+// strand its siblings' draws, so every draw of a processed id is offered
+// to the surviving subscription or shed by the emitter, and nothing else.
+func TestSigmaBatchAccountingThroughDrops(t *testing.T) {
+	p := newTestPool(t, 4, 16, 16, 4, false, 2)
+	sub, err := p.Subscribe(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	early, err := p.Subscribe(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(9)
+	batch := make([]uint64, 1024)
+	for r := 0; r < 2000 && (r < 400 || p.Stats().Dropped == 0); r++ {
+		for i := range batch {
+			batch[i] = src.Uint64n(1 << 40)
+		}
+		if err := p.PushBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Push(batch[0]); err != nil {
+			t.Fatal(err)
+		}
+		if r == 200 {
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			waitSettled(t, p, early)
+			early.Cancel()
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := waitSettled(t, p, sub)
+	if st.Dropped == 0 {
+		t.Fatal("2-slot rings never dropped a part")
+	}
+	if early.Delivered()+early.Dropped() != early.Offered() || early.Offered() == 0 || early.Offered() >= sub.Offered() {
+		t.Fatalf("cancelled subscription: offered %d delivered %d dropped %d (survivor offered %d)",
+			early.Offered(), early.Delivered(), early.Dropped(), sub.Offered())
+	}
+	// With nobody listening, a batch draws nothing.
+	sub.Cancel()
+	if err := p.PushBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if after := p.Stats(); after.EmitDropped != st.EmitDropped {
+		t.Fatalf("emit-dropped moved %d → %d with no subscriber", st.EmitDropped, after.EmitDropped)
 	}
 }

@@ -11,15 +11,18 @@
 // a sampling stream can always afford: a later draw carries the same
 // information) rather than stalling the pipeline.
 //
-// A batch is the unit of delivery. The consumer drains its ring with Next,
-// which blocks until ids are buffered and moves up to a buffer's worth out
-// in one critical section — the daemon's stream writer runs ring → Next →
-// one StreamData frame → one socket write, on the consumer's own goroutine,
-// with no per-id hand-off anywhere. C is the channel-shaped adapter over
-// the same primitive for consumers that want one id at a time: its first
-// call starts a goroutine that feeds Next's batches into a buffered
-// channel. A subscription is drained through one or the other, by one
-// goroutine.
+// A batch is the unit of delivery. Publish places a batch in a plain
+// subscription's ring (no decimation, no rate cap) with at most two block
+// copies, and the consumer drains its ring with Next, which blocks until
+// ids are buffered and moves up to a buffer's worth out in one critical
+// section — the daemon's stream writer runs ring → Next → one StreamData
+// frame → one socket write, on the consumer's own goroutine, with no per-id
+// hand-off anywhere. The shard pool publishes once per pushed batch, so a
+// subscriber that keeps up receives one frame per pushed batch. C is the
+// channel-shaped adapter over the same primitive for consumers that want
+// one id at a time: its first call starts a goroutine that feeds Next's
+// batches into a buffered channel. A subscription is drained through one
+// or the other, by one goroutine.
 //
 // Subscriptions may opt into decimation (SubscribeEvery): only every k-th
 // offered id enters the ring, so a modest consumer rides a fast hub
@@ -393,50 +396,55 @@ func (s *Subscription) offer(ids []uint64) {
 	s.offered.Add(uint64(len(ids)))
 	n := len(s.ring)
 	var dropped, filtered, capped uint64
-	if s.rate > 0 {
-		// One refill per offer batch: the bucket accrues rate tokens per
-		// second since the last offer, capped at one second of burst.
-		// Uncapped subscriptions never reach this, so they never read the
-		// clock on the publish path.
-		now := s.now()
-		if elapsed := float64(now-s.lastRefill) / 1e9; elapsed > 0 {
-			s.tokens += elapsed * s.rate
-			if s.tokens > s.rate {
-				s.tokens = s.rate
-			}
-		}
-		s.lastRefill = now
-	}
-	for _, id := range ids {
-		if s.every > 1 {
-			s.seen++
-			if s.seen < s.every {
-				filtered++
-				continue
-			}
-			s.seen = 0
-		}
+	if s.every == 1 && s.rate == 0 {
+		// A plain subscription keeps every id: block copies place the batch.
+		dropped = s.put(ids)
+	} else {
 		if s.rate > 0 {
-			if s.tokens < 1 {
-				capped++
-				continue
+			// One refill per offer batch: the bucket accrues rate tokens per
+			// second since the last offer, capped at one second of burst.
+			// Uncapped subscriptions never reach this, so they never read the
+			// clock on the publish path.
+			now := s.now()
+			if elapsed := float64(now-s.lastRefill) / 1e9; elapsed > 0 {
+				s.tokens += elapsed * s.rate
+				if s.tokens > s.rate {
+					s.tokens = s.rate
+				}
 			}
-			s.tokens--
+			s.lastRefill = now
 		}
-		if s.size == n {
-			s.ring[s.head] = id
-			s.head++
-			if s.head == n {
-				s.head = 0
+		for _, id := range ids {
+			if s.every > 1 {
+				s.seen++
+				if s.seen < s.every {
+					filtered++
+					continue
+				}
+				s.seen = 0
 			}
-			dropped++
-		} else {
-			i := s.head + s.size
-			if i >= n {
-				i -= n
+			if s.rate > 0 {
+				if s.tokens < 1 {
+					capped++
+					continue
+				}
+				s.tokens--
 			}
-			s.ring[i] = id
-			s.size++
+			if s.size == n {
+				s.ring[s.head] = id
+				s.head++
+				if s.head == n {
+					s.head = 0
+				}
+				dropped++
+			} else {
+				i := s.head + s.size
+				if i >= n {
+					i -= n
+				}
+				s.ring[i] = id
+				s.size++
+			}
 		}
 	}
 	if dropped > 0 {
@@ -453,6 +461,26 @@ func (s *Subscription) offer(ids []uint64) {
 	case s.wake <- struct{}{}:
 	default:
 	}
+}
+
+// put appends ids to the ring in at most two copies under the drop-oldest
+// policy, leaving the ring exactly as offering them one at a time would,
+// and returns how many ids the policy dropped. The caller holds mu.
+func (s *Subscription) put(ids []uint64) uint64 {
+	n, total := len(s.ring), s.size+len(ids)
+	if len(ids) > n {
+		ids = ids[len(ids)-n:] // the rest would be overwritten by this very offer
+	}
+	tail := (s.head + total - len(ids)) % n // where ids[0] lands
+	k := copy(s.ring[tail:], ids)
+	copy(s.ring, ids[k:])
+	if total <= n {
+		s.size = total
+		return 0
+	}
+	s.head = (tail + len(ids)) % n
+	s.size = n
+	return uint64(total - n)
 }
 
 // Next blocks until the ring holds ids or the subscription is cancelled,

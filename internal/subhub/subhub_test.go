@@ -1,6 +1,7 @@
 package subhub
 
 import (
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"sync"
@@ -833,5 +834,71 @@ func BenchmarkSubscriptionNext(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestOfferBlockCopyMatchesPerID checks the plain subscription's block-copy
+// placement against a per-id drop-oldest model: random batch sizes, from
+// empty to several times the capacity and starting at every ring offset,
+// interleaved with partial drains. After every step the raw ring, head and
+// size, Next's output and all five counters must match the model's.
+func TestOfferBlockCopyMatchesPerID(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 34))
+	for _, capacity := range []int{1, 2, 3, 8, 13} {
+		h := New()
+		s, err := h.Subscribe(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The model: the pre-block-copy offer loop, one id at a time.
+		ring := make([]uint64, capacity)
+		head, size := 0, 0
+		var offered, delivered, dropped uint64
+		next := uint64(1)
+		for step := 0; step < 400; step++ {
+			ids := seq(next, r.IntN(3*capacity+2))
+			next += uint64(len(ids))
+			h.Publish(ids)
+			offered += uint64(len(ids))
+			for _, id := range ids {
+				if size == capacity {
+					ring[head] = id
+					head = (head + 1) % capacity
+					dropped++
+				} else {
+					ring[(head+size)%capacity] = id
+					size++
+				}
+			}
+			s.mu.Lock()
+			same := slices.Equal(s.ring, ring) && s.head == head && s.size == size
+			s.mu.Unlock()
+			if !same {
+				t.Fatalf("cap %d step %d: ring %v head %d size %d, model %v head %d size %d",
+					capacity, step, s.ring, s.head, s.size, ring, head, size)
+			}
+			if size > 0 && r.IntN(2) == 0 {
+				got, ok := s.Next(make([]uint64, 1+r.IntN(capacity)))
+				var want []uint64
+				for i := 0; i < len(got) && ok; i++ {
+					want = append(want, ring[head])
+					head = (head + 1) % capacity
+					size--
+				}
+				delivered += uint64(len(want))
+				if !ok || len(got) == 0 || !slices.Equal(got, want) {
+					t.Fatalf("cap %d step %d: Next = (%v, %v), model %v", capacity, step, got, ok, want)
+				}
+			}
+			if s.Offered() != offered || s.Delivered() != delivered || s.Dropped() != dropped ||
+				s.Filtered() != 0 || s.Capped() != 0 {
+				t.Fatalf("cap %d step %d: offered %d delivered %d dropped %d filtered %d capped %d, model %d %d %d 0 0",
+					capacity, step, s.Offered(), s.Delivered(), s.Dropped(), s.Filtered(), s.Capped(),
+					offered, delivered, dropped)
+			}
+		}
+		s.Cancel()
+		checkIdentity(t, s)
+		h.Close()
 	}
 }
