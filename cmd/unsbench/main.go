@@ -7,10 +7,15 @@
 //	unsbench -run fig3
 //	unsbench -run fig8,fig9 -trials 100
 //	unsbench -run all -quick
+//	unsbench -run tournament
+//	unsbench -run table2,fig5,fig12 -trace access.log -trace-key url
 //
 // Each experiment prints a TSV block: a title line, a header row, data
-// rows, and an optional note. Paper-vs-measured records live in
-// EXPERIMENTS.md.
+// rows, and an optional note that compares the measured values with the
+// paper's. tournament scores the knowledge-free sampler against four
+// attack models at a fixed 16×4 reference point. -trace replaces the three
+// synthetic Table II traces of table2, fig5 and fig12 with a real log in
+// Common Log Format, keyed by requesting host or by request URL.
 package main
 
 import (
@@ -23,6 +28,7 @@ import (
 	"time"
 
 	"nodesampling/internal/experiments"
+	"nodesampling/internal/trace"
 )
 
 func main() {
@@ -47,6 +53,8 @@ func run(args []string, w io.Writer) error {
 		perfRuns   = fs.Int("perf-runs", 3, "runs per perf benchmark; the fastest is recorded (strips scheduler noise)")
 		perfCmp    = fs.Bool("perf-compare", false, "compare two perf artifacts (args: old.json new.json) and fail on regressions above -perf-threshold")
 		perfThresh = fs.Float64("perf-threshold", 5, "max tolerated slowdown percent for -perf-compare")
+		traceLog   = fs.String("trace", "", "Common Log Format file that table2, fig5 and fig12 replay in place of the synthetic traces")
+		traceKey   = fs.String("trace-key", "host", "identity field of -trace lines: host or url")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,6 +100,13 @@ func run(args []string, w io.Writer) error {
 		Workers: *workers,
 		Quick:   *quick,
 	}
+	if *traceLog != "" {
+		tr, err := loadTrace(*traceLog, *traceKey)
+		if err != nil {
+			return fmt.Errorf("-trace: %w", err)
+		}
+		cfg.Trace = tr
+	}
 	for _, id := range ids {
 		start := time.Now()
 		tbl, err := registry[id](cfg)
@@ -103,6 +118,33 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// loadTrace reads a Common Log Format file as a node-id trace, identifying
+// nodes by key: "host" (the requesting host, the paper's semantics) or
+// "url" (the request target).
+func loadTrace(path, key string) (*trace.Trace, error) {
+	field := trace.KeyRemoteHost
+	switch key {
+	case "host":
+	case "url":
+		field = trace.KeyRequestURL
+	default:
+		return nil, fmt.Errorf("unknown -trace-key %q (want host or url)", key)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	ids, skipped, err := trace.ParseCommonLog(f, field)
+	if err != nil {
+		return nil, err
+	}
+	if skipped > 0 {
+		fmt.Fprintf(os.Stderr, "unsbench: -trace: skipped %d malformed lines\n", skipped)
+	}
+	return trace.FromIDs(ids)
 }
 
 func writeTable(w io.Writer, t experiments.Table, elapsed time.Duration) error {

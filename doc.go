@@ -52,7 +52,7 @@
 // "knowledge-free"; a blob naming any other (including the retired
 // "basalt") is refused by name, and pre-v2 blobs restore bit-identical.
 //
-// The attack table (unsattack -tournament, internal/adversary.RunTournament)
+// The attack table (unsbench -run tournament, internal/adversary.RunTournament)
 // runs it against four adversarial input models and scores the windowed KL
 // divergence of input and output against uniform, plus the paper's G_KL
 // gain (1 = all attack bias removed). A reference run (population 256,

@@ -27,13 +27,21 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if _, _, err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "loadbalancer:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// load is one dispatcher's outcome.
+type load struct {
+	attackerShare float64 // fraction of requests sent to the attacker
+	honestHit     int     // honest backends that received any request
+}
+
+// run dispatches the requests both ways, prints the two load reports and
+// returns them: naive, then through the sampling service.
+func run() (naive, sampled load, err error) {
 	// Backend identifiers, as a real deployment would derive them.
 	ids := make([]nodesampling.NodeID, backends)
 	for i := range ids {
@@ -45,11 +53,11 @@ func run() error {
 		nodesampling.WithSeed(1),
 		nodesampling.WithSketch(10, 5))
 	if err != nil {
-		return err
+		return load{}, load{}, err
 	}
 	svc, err := nodesampling.NewService(sampler, nodesampling.WithInputBuffer(64))
 	if err != nil {
-		return err
+		return load{}, load{}, err
 	}
 	defer func() { _ = svc.Close() }()
 
@@ -68,7 +76,7 @@ func run() error {
 		}
 		recent = append(recent, id)
 		if err := svc.Push(id); err != nil {
-			return err
+			return load{}, load{}, err
 		}
 		if i%dispatchEvery != 0 || i == 0 {
 			continue
@@ -83,15 +91,15 @@ func run() error {
 
 	fmt.Println("=== load balancing under a Sybil flood ===")
 	fmt.Printf("%d honest backends, attacker advertises 60%% of the membership stream\n\n", backends)
-	report("naive dispatcher (raw stream)", naiveLoad, attacker)
-	report("sampling-service dispatcher", protectedLoad, attacker)
-	return nil
+	naive = report("naive dispatcher (raw stream)", naiveLoad, attacker)
+	sampled = report("sampling-service dispatcher", protectedLoad, attacker)
+	return naive, sampled, nil
 }
 
-func report(name string, load map[nodesampling.NodeID]int, attacker nodesampling.NodeID) {
-	honest := make([]int, 0, len(load))
+func report(name string, counts map[nodesampling.NodeID]int, attacker nodesampling.NodeID) load {
+	honest := make([]int, 0, len(counts))
 	total := 0
-	for id, c := range load {
+	for id, c := range counts {
 		total += c
 		if id != attacker {
 			honest = append(honest, c)
@@ -103,8 +111,9 @@ func report(name string, load map[nodesampling.NodeID]int, attacker nodesampling
 		maxHonest, minHonest = honest[0], honest[len(honest)-1]
 	}
 	fmt.Printf("%s:\n", name)
-	fmt.Printf("  requests to attacker: %d / %d (%.1f%%)\n",
-		load[attacker], total, 100*float64(load[attacker])/float64(total))
+	share := float64(counts[attacker]) / float64(total)
+	fmt.Printf("  requests to attacker: %d / %d (%.1f%%)\n", counts[attacker], total, 100*share)
 	fmt.Printf("  honest backends hit: %d / %d (max load %d, min load %d)\n\n",
 		len(honest), backends, maxHonest, minHonest)
+	return load{attackerShare: share, honestHit: len(honest)}
 }

@@ -1,9 +1,7 @@
 package adversary
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"nodesampling/internal/core"
 	"nodesampling/internal/metrics"
@@ -72,18 +70,18 @@ func (c TournamentConfig) validate() error {
 // attack's bias, 0 = none, negative = it amplified it). The first window is
 // a warm-up and is not scored.
 type Cell struct {
-	Attack   string  `json:"attack"`
-	InputKL  float64 `json:"input_kl"`
-	OutputKL float64 `json:"output_kl"`
-	Gain     float64 `json:"gain"`
-	Windows  int     `json:"windows"`
+	Attack   string
+	InputKL  float64
+	OutputKL float64
+	Gain     float64
+	Windows  int
 }
 
 // TournamentResult is the full attack table.
 type TournamentResult struct {
-	Config  TournamentConfig `json:"config"`
-	Attacks []string         `json:"attacks"`
-	Cells   []Cell           `json:"cells"`
+	Config  TournamentConfig
+	Attacks []string
+	Cells   []Cell
 }
 
 // idSource is the minimal stream interface the tournament consumes.
@@ -271,26 +269,4 @@ func runCell(cfg TournamentConfig, atk tournamentAttack, seed uint64) (Cell, err
 	cell.OutputKL = sumOut / float64(cell.Windows)
 	cell.Gain = sumGain / float64(cell.Windows)
 	return cell, nil
-}
-
-// WriteTable renders the per-attack table as aligned text.
-func (r *TournamentResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%-16s %10s %10s %8s %8s\n",
-		"ATTACK", "INPUT_KL", "OUTPUT_KL", "G_KL", "WINDOWS"); err != nil {
-		return err
-	}
-	for _, c := range r.Cells {
-		if _, err := fmt.Fprintf(w, "%-16s %10.4f %10.4f %8.4f %8d\n",
-			c.Attack, c.InputKL, c.OutputKL, c.Gain, c.Windows); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSON renders the result as indented JSON.
-func (r *TournamentResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

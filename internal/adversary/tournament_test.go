@@ -1,10 +1,7 @@
 package adversary
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -75,34 +72,5 @@ func TestTournamentValidation(t *testing.T) {
 	}
 	if _, err := RunTournament(TournamentConfig{Population: 8}); err == nil {
 		t.Fatal("population below 16 should fail")
-	}
-}
-
-// TestTournamentWriters checks both output formats carry the table.
-func TestTournamentWriters(t *testing.T) {
-	cfg := TournamentConfig{Population: 64, Capacity: 16, Ids: 4096, Window: 1024, Seed: 3}
-	res, err := RunTournament(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var text bytes.Buffer
-	if err := res.WriteTable(&text); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"ATTACK", "G_KL", "targeted-flood", "slow-trickle"} {
-		if !strings.Contains(text.String(), want) {
-			t.Fatalf("table missing %q:\n%s", want, text.String())
-		}
-	}
-	var js bytes.Buffer
-	if err := res.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var back TournamentResult
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Cells) != len(res.Cells) {
-		t.Fatalf("JSON round-trip lost cells: %d vs %d", len(back.Cells), len(res.Cells))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"nodesampling/internal/adversary"
 	"nodesampling/internal/core"
 	"nodesampling/internal/gossip"
 	"nodesampling/internal/metrics"
@@ -364,6 +365,34 @@ func Gossip(cfg Config) (Table, error) {
 			fmtInt(burst), fmtF(nw.SybilPressure()),
 			fmtF(sum.Mean), fmtF(sum.Min), fmtF(sum.Max),
 			fmtInt(nw.SampleCoverage()),
+		})
+	}
+	return t, nil
+}
+
+// tournament runs the knowledge-free sampler's attack table
+// (adversary.RunTournament) at the tournament's reference point. Quick does
+// not shrink it, so the table is always the one the nodesampling package
+// documentation quotes.
+func tournament(cfg Config) (Table, error) {
+	cfg = cfg.withDefaults()
+	res, err := adversary.RunTournament(adversary.TournamentConfig{Seed: cfg.Seed})
+	if err != nil {
+		return Table{}, fmt.Errorf("tournament: %w", err)
+	}
+	c := res.Config
+	t := Table{
+		ID: "tournament",
+		Title: fmt.Sprintf("Extension: knowledge-free sampler against four attack models "+
+			"(population %d, c=%d, sketch %dx%d, %d ids in windows of %d, decay every %d)",
+			c.Population, c.Capacity, c.K, c.S, c.Ids, c.Window, c.DecayEvery),
+		Columns: []string{"attack", "D(input||U)", "D(output||U)", "G_KL", "windows"},
+		Notes: "Mean over the scored windows (the first is a warm-up). " +
+			"G_KL = 1 - D(output||U)/D(input||U): 1 removes all attack bias, 0 none, negative amplifies it.",
+	}
+	for _, cell := range res.Cells {
+		t.Rows = append(t.Rows, []string{
+			cell.Attack, fmtF(cell.InputKL), fmtF(cell.OutputKL), fmtF(cell.Gain), fmtInt(cell.Windows),
 		})
 	}
 	return t, nil

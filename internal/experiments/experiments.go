@@ -20,6 +20,7 @@ import (
 	"nodesampling/internal/metrics"
 	"nodesampling/internal/rng"
 	"nodesampling/internal/stream"
+	"nodesampling/internal/trace"
 )
 
 // Table is a regenerated paper artifact.
@@ -44,6 +45,10 @@ type Config struct {
 	// in seconds; shapes remain but absolute values get noisier. Used by
 	// tests and benchmarks.
 	Quick bool
+	// Trace, when set, replaces the three synthetic Table II traces in
+	// table2, fig5 and fig12 — for example a real log read with
+	// trace.ParseCommonLog. Quick does not shrink it.
+	Trace *trace.Trace
 }
 
 func (c Config) withDefaults() Config {
@@ -71,7 +76,7 @@ func Registry() ([]string, map[string]Runner) {
 		"fig11", "fig12",
 		"thm4", "transient",
 		"ablation-minwise", "ablation-evict", "ablation-cu", "ablation-churn",
-		"gossip",
+		"gossip", "tournament",
 	}
 	m := map[string]Runner{
 		"fig3":             Fig3,
@@ -95,6 +100,7 @@ func Registry() ([]string, map[string]Runner) {
 		"ablation-churn":   AblationChurn,
 		"transient":        Transient,
 		"gossip":           Gossip,
+		"tournament":       tournament,
 	}
 	return order, m
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strconv"
 	"testing"
+
+	"nodesampling/internal/adversary"
 )
 
 func quickCfg() Config {
@@ -117,7 +119,8 @@ func TestFig4Monotone(t *testing.T) {
 }
 
 // TestTable1OursColumnMatchesPaperForSmallK verifies the regenerated
-// Table I reports identical L values to the paper's print for k <= 50.
+// Table I reports identical L values to the paper's print for k <= 50, and
+// pins the (10, 5, 0.1) row: L 38, E_k 44 and the all-rows E_{k,s} 59.
 func TestTable1OursColumnMatchesPaperForSmallK(t *testing.T) {
 	tbl, err := Table1(Config{})
 	if err != nil {
@@ -131,6 +134,16 @@ func TestTable1OursColumnMatchesPaperForSmallK(t *testing.T) {
 		if row[3] != row[4] {
 			t.Errorf("k=%s s=%s eta=%s: ours %s != paper %s", row[0], row[1], row[2], row[3], row[4])
 		}
+		if parseI(t, row[7]) <= parseI(t, row[5]) {
+			t.Errorf("k=%s s=%s eta=%s: E_{k,s} %s not above E_k %s", row[0], row[1], row[2], row[7], row[5])
+		}
+	}
+	first := tbl.Rows[0]
+	if first[0] != "10" || first[1] != "5" || first[2] != "0.1" {
+		t.Fatalf("first row %v, want k=10 s=5 eta=0.1", first)
+	}
+	if first[3] != "38" || first[5] != "44" || first[7] != "59" {
+		t.Errorf("(10, 5, 0.1) reads L %s, E_k %s, E_{k,s} %s; want 38, 44, 59", first[3], first[5], first[7])
 	}
 }
 
@@ -472,6 +485,31 @@ func TestGossipPositiveGains(t *testing.T) {
 		}
 		if p := parseF(t, row[1]); p <= 0 || p >= 1 {
 			t.Errorf("burst=%s: pressure %v out of range", row[0], p)
+		}
+	}
+}
+
+// TestTournamentTable: the tournament table carries one row per attack
+// cell of adversary.RunTournament at the config's seed, with its G_KL.
+func TestTournamentTable(t *testing.T) {
+	tbl, err := tournament(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := adversary.RunTournament(adversary.TournamentConfig{Seed: quickCfg().Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Columns[0] != "attack" || tbl.Columns[3] != "G_KL" {
+		t.Fatalf("columns %v, want attack first and G_KL at index 3", tbl.Columns)
+	}
+	if len(tbl.Rows) != len(res.Cells) {
+		t.Fatalf("%d rows for %d tournament cells", len(tbl.Rows), len(res.Cells))
+	}
+	for i, cell := range res.Cells {
+		row := tbl.Rows[i]
+		if row[0] != cell.Attack || row[3] != fmtF(cell.Gain) || row[4] != fmtInt(cell.Windows) {
+			t.Errorf("row %v, want attack %s G_KL %s windows %d", row, cell.Attack, fmtF(cell.Gain), cell.Windows)
 		}
 	}
 }

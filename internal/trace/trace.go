@@ -11,7 +11,7 @@
 //     stream beyond its frequency profile, so this substitution preserves
 //     the evaluated behaviour.
 //   - ParseCommonLog ingests a real log in Common Log Format so the original
-//     traces can be dropped in when available.
+//     traces can be dropped in when available (unsbench -trace).
 package trace
 
 import (
