@@ -101,27 +101,24 @@ func BenchmarkSamplerProcessWideSketch(b *testing.B) {
 	}
 }
 
-// BenchmarkServicePush measures the concurrent pipeline's per-element cost.
-func BenchmarkServicePush(b *testing.B) {
-	s, err := NewSampler(10, WithSeed(1), WithSketch(10, 5))
+// BenchmarkPoolPush measures the per-element cost of one sampler behind a
+// worker goroutine, NewPool(c, 1), fed one id at a time.
+func BenchmarkPoolPush(b *testing.B) {
+	p, err := NewPool(10, 1, WithSeed(1), WithSketch(10, 5), WithShardBuffer(1024))
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc, err := NewService(s, WithInputBuffer(1024))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = svc.Close() }()
+	defer func() { _ = p.Close() }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := svc.Push(NodeID(i % 1000)); err != nil {
+		if err := p.Push(NodeID(i % 1000)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // benchPoolPushBatch measures the sharded pool's batch-ingest throughput on
-// the same workload as BenchmarkServicePush (ids cycling over 1000, c=10,
+// the same workload as BenchmarkPoolPush (ids cycling over 1000, c=10,
 // 10x5 sketch per shard), in batches of half the netgossip wire limit — the
 // size a daemon actually digests per hand-off. Small sub-batches are the
 // sharding tax: each shard wakes per batch, so the batch size is what
@@ -285,26 +282,22 @@ func BenchmarkPoolSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceSample measures concurrent sample reads against a live
-// pipeline.
-func BenchmarkServiceSample(b *testing.B) {
-	s, err := NewSampler(10, WithSeed(1), WithSketch(10, 5))
+// BenchmarkPoolSample measures sample reads against a live NewPool(c, 1)
+// fed one id at a time.
+func BenchmarkPoolSample(b *testing.B) {
+	p, err := NewPool(10, 1, WithSeed(1), WithSketch(10, 5), WithShardBuffer(1024))
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc, err := NewService(s, WithInputBuffer(1024))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = svc.Close() }()
+	defer func() { _ = p.Close() }()
 	for i := 0; i < 10000; i++ {
-		if err := svc.Push(NodeID(i % 500)); err != nil {
+		if err := p.Push(NodeID(i % 500)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = svc.Sample()
+		_, _ = p.Sample()
 	}
 }
 

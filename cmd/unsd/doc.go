@@ -10,6 +10,14 @@
 //
 //	unsd -http 127.0.0.1:8080 -stream 127.0.0.1:7947 -shards 8 -c 25
 //
+// By default the daemon sheds load rather than stall its listeners: a
+// batch aimed at a full shard queue is dropped (/stats "dropped"), and so
+// are a pushed batch's σ′ draws when the emitter feeding the subscription
+// hub lags the shards (/stats "emit_dropped"). -block makes both hand-offs
+// wait instead — producers for queue room, shard workers for the emitter —
+// so every pushed id is processed and every σ′ draw reaches the hub; the
+// squeeze then shows as push-acknowledgement latency.
+//
 // HTTP endpoints:
 //
 //	POST /push      {"ids":[1,2,3]}    feed identifiers

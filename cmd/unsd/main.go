@@ -104,7 +104,7 @@ func parseOptions(args []string) (options, error) {
 	fs.IntVar(&o.k, "k", 50, "sketch columns per shard")
 	fs.IntVar(&o.s, "s", 10, "sketch rows per shard")
 	fs.IntVar(&o.buffer, "buffer", 64, "per-shard ingest queue, in batches")
-	fs.BoolVar(&o.block, "block", false, "block producers on a full shard queue instead of dropping")
+	fs.BoolVar(&o.block, "block", false, "block producers on a full shard queue, and shard workers on a lagging σ′ emitter, instead of dropping")
 	fs.Uint64Var(&o.seed, "seed", 0, "random seed (0 means time-derived)")
 	fs.StringVar(&o.snapshotPath, "snapshot-path", "", "durable pool snapshot file: restored at boot, written by POST /snapshot, -snapshot-interval and shutdown (a restored snapshot supersedes -shards and -c)")
 	fs.DurationVar(&o.snapshotInterval, "snapshot-interval", 0, "write a snapshot this often (0 disables periodic snapshots; requires -snapshot-path)")

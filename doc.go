@@ -70,11 +70,11 @@
 // # Concurrency and scale
 //
 // Samplers returned by the constructors are single-goroutine objects.
-// Service wraps a sampler with a goroutine-backed pipeline (Push/Sample/
-// Subscribe) safe for concurrent use.
+// NewPool(c, 1) runs one behind a worker goroutine (Push/Sample/Subscribe)
+// safe for concurrent use.
 //
-// Pool is the horizontally scaled form: it partitions the input stream
-// across N independent knowledge-free shards — each with its own sketch,
+// More shards scale the same Pool horizontally: it partitions the input
+// stream across N independent knowledge-free shards — each with its own sketch,
 // memory Γ and worker goroutine — and ingests batches (PushBatch) so the
 // hand-off cost is amortised over many identifiers. The partition is an
 // epoch-versioned shard map: salted rendezvous hashing over a slot table,
@@ -130,7 +130,11 @@
 // its part into one shared buffer, and the batch's draws are published
 // once, in shard order, through a subscription hub that fans them out to
 // every subscriber through fixed-capacity buffers with a non-blocking
-// drop-oldest policy. A slow subscriber therefore
+// drop-oldest policy. The hand-off from the shards to the hub follows the
+// pool's ingest policy: a blocking pool (the default) waits for it and so
+// publishes every draw, while WithNonBlockingIngest drops a batch's draws
+// when the hub lags and counts them (PoolStats.EmitDropped). A slow
+// subscriber
 // loses the oldest buffered elements — which a sampling stream can always
 // afford, since a later draw carries the same information — and never
 // backpressures ingestion; Stats reports exact per-subscriber
@@ -142,10 +146,10 @@
 // goroutine per subscriber, allocating nothing per frame — one StreamData
 // frame per subscriber per pushed batch while the subscriber keeps up
 // (unsd_subscriber_delivered_ids_total over unsd_stream_data_frames_total
-// is the batch a write carries). The channels this package hands out
-// (PoolSubscription.C, Service.Subscribe) sit on the hub's C, an adapter
-// goroutine that feeds Next's batches into a channel id by id, started
-// only for consumers that ask for it. Subscriptions may opt
+// is the batch a write carries). PoolSubscription.C is the hub's own typed
+// channel, fed id by id from Next's batches by one adapter goroutine per
+// subscription; at Close it keeps the draws it buffered, and counts those
+// it had no room for as dropped. Subscriptions may opt
 // into decimation (SubscribeEvery): only every k-th draw is delivered, so
 // a modest consumer rides a fast pool at a rate it can afford — a 1-in-k
 // thinning of an i.i.d. uniform stream is itself i.i.d. uniform. A
@@ -159,7 +163,7 @@
 // Subscribe frame (capacity, interval, rate cap, resume token), its
 // acknowledgement carries a resume token, and a reconnecting client that
 // presents it continues the 1-in-k phase exactly where the dropped
-// connection left off instead of restarting the count. Service
+// connection left off instead of restarting the count. NewPool(c, 1)
 // fans out through the same hub, with the same accounting, decimation and
 // rate caps, at single-sampler scale.
 //
@@ -335,8 +339,8 @@
 // addresses on reconnect, so a subscription outlives the member it
 // happened to be attached to.
 //
-// Use Service for a single node's modest stream, Pool when one sampler
-// cannot absorb the traffic, and the unsd daemon (cmd/unsd) to serve a
+// Use NewPool(c, 1) for a single node's modest stream, more shards when one
+// sampler cannot absorb the traffic, and the unsd daemon (cmd/unsd) to serve a
 // Pool over the network: HTTP for request/response (plus POST /resize,
 // POST /snapshot and POST /autoscale admin endpoints for the elastic
 // plane), and a framed bidirectional stream protocol on one listener —

@@ -57,33 +57,29 @@ func ExampleAttackEffort() {
 	// k=250 targeted=2874  flooding=3676
 }
 
-// ExampleService runs the sampler behind its concurrent pipeline.
-func ExampleService() {
-	sampler, err := nodesampling.NewSampler(8,
+// ExampleNewPool runs one sampler behind a worker goroutine: a 1-shard
+// pool, which any number of goroutines may feed and read concurrently.
+func ExampleNewPool() {
+	pool, err := nodesampling.NewPool(8, 1,
 		nodesampling.WithSeed(1),
 		nodesampling.WithSketch(8, 3))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	svc, err := nodesampling.NewService(sampler)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	defer svc.Close()
+	defer pool.Close()
 
 	for i := 0; i < 1000; i++ {
-		if err := svc.Push(nodesampling.NodeID(i % 40)); err != nil {
+		if err := pool.Push(nodesampling.NodeID(i % 40)); err != nil {
 			fmt.Println(err)
 			return
 		}
 	}
-	if err := svc.Close(); err != nil { // drain, then read the final sample
+	if err := pool.Close(); err != nil { // drain, then read the final sample
 		fmt.Println(err)
 		return
 	}
-	id, ok := svc.Sample()
+	id, ok := pool.Sample()
 	fmt.Println(ok, id < 40)
 	// Output:
 	// true true

@@ -49,13 +49,9 @@ func run() (naive, sampled load, err error) {
 	}
 	attacker := nodesampling.HashString("evil-backend.svc.local")
 
-	sampler, err := nodesampling.NewSampler(16,
+	svc, err := nodesampling.NewPool(16, 1,
 		nodesampling.WithSeed(1),
 		nodesampling.WithSketch(10, 5))
-	if err != nil {
-		return load{}, load{}, err
-	}
-	svc, err := nodesampling.NewService(sampler, nodesampling.WithInputBuffer(64))
 	if err != nil {
 		return load{}, load{}, err
 	}

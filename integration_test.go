@@ -16,24 +16,21 @@ import (
 )
 
 // TestTraceThroughPublicService replays a synthetic Zipf trace through the
-// concurrent public Service from multiple producer goroutines and verifies
-// the subscribed output stream is substantially closer to uniform.
+// public sampling service, NewPool(c, 1), from multiple producer goroutines
+// pushing one id at a time, and verifies the subscribed output stream is
+// substantially closer to uniform and carries one draw per pushed id.
 func TestTraceThroughPublicService(t *testing.T) {
 	spec := trace.Spec{Name: "integration", M: 120000, N: 800, MaxFreq: 12000}
 	tr, err := trace.Synthesize(spec, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampler, err := nodesampling.NewSampler(30,
+	pool, err := nodesampling.NewPool(30, 1,
 		nodesampling.WithSeed(6), nodesampling.WithSketch(15, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := nodesampling.NewService(sampler, nodesampling.WithInputBuffer(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := svc.Subscribe(1 << 18)
+	sub, err := pool.Subscribe(1 << 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +59,7 @@ func TestTraceThroughPublicService(t *testing.T) {
 		go func(part []uint64) {
 			defer wg.Done()
 			for _, id := range part {
-				if err := svc.Push(nodesampling.NodeID(id)); err != nil {
+				if err := pool.Push(nodesampling.NodeID(id)); err != nil {
 					t.Errorf("push: %v", err)
 					return
 				}
@@ -70,15 +67,15 @@ func TestTraceThroughPublicService(t *testing.T) {
 		}(ids[lo:hi])
 	}
 	wg.Wait()
-	if err := svc.Close(); err != nil {
+	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
 	output := metrics.NewHistogram()
-	for id := range out {
+	for id := range sub.C() {
 		output.Add(uint64(id))
 	}
-	if output.Total()+svc.Dropped() != uint64(len(ids)) {
-		t.Fatalf("output %d + dropped %d != pushed %d", output.Total(), svc.Dropped(), len(ids))
+	if output.Total()+sub.Dropped() != uint64(len(ids)) {
+		t.Fatalf("output %d + dropped %d != pushed %d", output.Total(), sub.Dropped(), len(ids))
 	}
 	g, err := metrics.Gain(input, output, spec.N)
 	if err != nil {

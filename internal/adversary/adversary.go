@@ -2,7 +2,7 @@
 // that fully controls ℓ malicious node identifiers and biases the input
 // stream of correct nodes by injecting them at arbitrary rates.
 //
-// The package provides three things:
+// The package provides two things:
 //
 //   - Stream builders that superimpose the paper's representative attacks
 //     (peak, targeted, flooding) onto a legitimate workload, returning the
@@ -10,16 +10,15 @@
 //   - A Planner wrapping the Section V analysis: how many distinct ids the
 //     adversary must create (L_{k,s} for a targeted attack, E_k for a
 //     flooding attack) for a desired success probability.
-//   - Empirical verifiers that measure the actual success probability of an
-//     attack against freshly drawn 2-universal hash families, closing the
-//     loop between the urn analysis and the implementation.
+//
+// The package's tests close the loop between the urn analysis and the
+// implementation: they measure the actual success probability of an attack
+// against freshly drawn 2-universal hash families.
 package adversary
 
 import (
 	"fmt"
 
-	"nodesampling/internal/hashing"
-	"nodesampling/internal/rng"
 	"nodesampling/internal/stream"
 	"nodesampling/internal/urn"
 )
@@ -105,95 +104,4 @@ func FirstIDs(count int) []uint64 {
 		ids[i] = uint64(i)
 	}
 	return ids
-}
-
-// EmpiricalTargetedSuccess estimates, over `trials` freshly drawn hash
-// families, the probability that `decoys` distinct malicious ids collide
-// with a victim id in every one of the s rows of a k-column sketch — the
-// event whose probability the L_{k,s} analysis lower-bounds. The victim and
-// decoy ids are drawn disjointly at random each trial.
-func EmpiricalTargetedSuccess(k, s, decoys, trials int, r *rng.Xoshiro) (float64, error) {
-	if err := validateEmpirical(k, s, decoys, trials, r); err != nil {
-		return 0, err
-	}
-	success := 0
-	for t := 0; t < trials; t++ {
-		fam, err := hashing.NewFamily(s, k, r)
-		if err != nil {
-			return 0, err
-		}
-		victim := r.Uint64()
-		hit := 0
-		for row := 0; row < s; row++ {
-			target := fam.Hash(row, victim)
-			for d := 0; d < decoys; d++ {
-				// Decoy ids are fixed per trial across rows: derive them
-				// deterministically from the trial nonce so each row sees
-				// the same id set, as in the real attack.
-				id := rng.Mix64(victim ^ uint64(d+1))
-				if fam.Hash(row, id) == target {
-					hit++
-					break
-				}
-			}
-		}
-		if hit == s {
-			success++
-		}
-	}
-	return float64(success) / float64(trials), nil
-}
-
-// EmpiricalFloodingSuccess estimates the probability that `decoys` distinct
-// ids cover all k columns in every row — the flooding event bounded by E_k.
-func EmpiricalFloodingSuccess(k, s, decoys, trials int, r *rng.Xoshiro) (float64, error) {
-	if err := validateEmpirical(k, s, decoys, trials, r); err != nil {
-		return 0, err
-	}
-	success := 0
-	covered := make([]bool, k)
-	for t := 0; t < trials; t++ {
-		fam, err := hashing.NewFamily(s, k, r)
-		if err != nil {
-			return 0, err
-		}
-		nonce := r.Uint64()
-		all := true
-		for row := 0; row < s && all; row++ {
-			for i := range covered {
-				covered[i] = false
-			}
-			cnt := 0
-			for d := 0; d < decoys && cnt < k; d++ {
-				id := rng.Mix64(nonce ^ uint64(d+1))
-				if col := fam.Hash(row, id); !covered[col] {
-					covered[col] = true
-					cnt++
-				}
-			}
-			if cnt < k {
-				all = false
-			}
-		}
-		if all {
-			success++
-		}
-	}
-	return float64(success) / float64(trials), nil
-}
-
-func validateEmpirical(k, s, decoys, trials int, r *rng.Xoshiro) error {
-	if k < 1 || s < 1 {
-		return fmt.Errorf("adversary: sketch shape (k=%d, s=%d) invalid", k, s)
-	}
-	if decoys < 1 {
-		return fmt.Errorf("adversary: decoy count must be positive, got %d", decoys)
-	}
-	if trials < 1 {
-		return fmt.Errorf("adversary: trial count must be positive, got %d", trials)
-	}
-	if r == nil {
-		return fmt.Errorf("adversary: nil random source")
-	}
-	return nil
 }

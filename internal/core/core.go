@@ -34,8 +34,9 @@ import (
 )
 
 // Sampler is the node sampling service interface shared by the strategies
-// and baselines. Implementations are single-goroutine components; wrap them
-// (see the root package's Service) for concurrent use.
+// and baselines. Implementations are single-goroutine components; the shard
+// pool (the root package's NewPool(c, 1) for one sampler) runs them for
+// concurrent use.
 type Sampler interface {
 	// Process reads one id from the input stream and returns the id written
 	// to the output stream for this step.

@@ -10,8 +10,8 @@ import (
 
 // This file defines the seam between the knowledge-free sampler and
 // everything that runs it: the PoolSampler contract and the SamplerFactory
-// that builds and restores samplers. The shard pool, the public Pool/Service
-// API, snapshots, and the unsd daemon reach the sampler only through these,
+// that builds and restores samplers. The shard pool, the public Pool API,
+// snapshots, and the unsd daemon reach the sampler only through these,
 // which keeps the cluster plane's state opaque and lets tests substitute a
 // failing factory.
 

@@ -31,14 +31,14 @@
 // least one subscription is live (Subscribe) draws one σ′ element per
 // ingested id, each shard's worker drawing its part into that part's window
 // of one shared draw buffer. The last part to finish hands the whole
-// batch's draws, in shard order, to a non-blocking pool-level output
-// channel, and the emitter publishes them through a subscription hub
-// (internal/subhub) that fans them out under a drop-oldest policy — one
-// publish per pushed batch — so a slow subscriber sheds stream elements
-// instead of slowing ingestion. With Config.DecayEvery set, all shards
-// apply their strategy's decay step on one global decay epoch derived from
-// the pool-wide ingest count, keeping per-shard frequency estimates
-// comparable.
+// batch's draws, in shard order, to a pool-level output channel under the
+// same Config.Block policy as ingest, and the emitter publishes them through
+// a subscription hub (internal/subhub) that fans them out under a
+// drop-oldest policy — one publish per pushed batch — so a slow subscriber
+// sheds stream elements instead of slowing ingestion. With
+// Config.DecayEvery set, all shards apply their strategy's decay step on
+// one global decay epoch derived from the pool-wide ingest count, keeping
+// per-shard frequency estimates comparable.
 package shard
 
 import (
@@ -83,9 +83,12 @@ type Config struct {
 	// rounded up to the next power of two, minimum 2 (the ring protocol's
 	// smallest size).
 	Buffer int
-	// Block selects the backpressure policy: when true a push into a full
-	// shard queue blocks the producer; when false the batch is dropped and
-	// counted (the right policy for a daemon absorbing hostile floods).
+	// Block selects the backpressure policy of both hand-offs: when true a
+	// push into a full shard queue blocks the producer, and a shard worker
+	// handing σ′ to a full output channel waits for the emitter (which
+	// never waits on subscribers); when false the batch, or its draws, are
+	// dropped and counted (the right policy for a daemon absorbing hostile
+	// floods).
 	Block bool
 	// Seed drives the pool's private randomness; shard samplers receive
 	// independent generators split from it.
@@ -107,8 +110,9 @@ type Config struct {
 	// EmitBuffer is the capacity of the pool-level output channel, in whole
 	// pushed batches' draws (default 4 per shard, so a 4-shard pool holds 16
 	// pushed batches). It bounds how far σ′ generation may run ahead of the
-	// subscription hub; overflow drops a pushed batch's draws whole
-	// (counted) rather than stalling shard workers.
+	// subscription hub. When Block is false, overflow drops a pushed batch's
+	// draws whole (counted) rather than stalling shard workers; when Block
+	// is true the last worker waits for room.
 	EmitBuffer int
 	// DecayEvery, when positive, halves every shard's sketch each time the
 	// pool as a whole has processed that many further ids — a global decay
@@ -435,8 +439,9 @@ type Pool struct {
 	smap atomic.Pointer[Placement]
 
 	// The streaming output plane: the last part of each drawing batch hands
-	// its draws to out (non-blocking; overflow counted in emitDropped), and
-	// the emitter goroutine publishes them through the subscription hub.
+	// its draws to out (under Config.Block; a non-blocking pool counts
+	// overflow in emitDropped), and the emitter goroutine publishes them
+	// through the subscription hub.
 	hub         *subhub.Hub
 	out         chan emitBatch
 	emitDropped atomic.Uint64
@@ -557,8 +562,10 @@ func (p *Pool) emitLoop() {
 // release drops one part's reference to pl, once its worker processed it or
 // a full queue dropped it. The last part out hands a batch that drew σ′ to
 // the emitter whole, its draws in shard order, and recycles any other
-// payload. The hand-off never blocks: when the output channel is full the
-// draws are dropped and counted, which a sampling stream can afford. sc is
+// payload. A blocking pool waits for room in the output channel; the
+// emitter drains it without ever waiting on a subscriber, so the wait is
+// bounded by the hub fan-out. A non-blocking pool drops and counts the
+// draws when the channel is full, which a sampling stream can afford. sc is
 // the part's "shard" span (the ingest span on the drop path); a sampled
 // batch opens its "emit" child there, covering the queue wait.
 func (p *Pool) release(pl *payload, sc spans.Context) {
@@ -575,6 +582,10 @@ func (p *Pool) release(pl *payload, sc spans.Context) {
 	}
 	if sc.Sampled() {
 		eb.tc = sc.Start("emit")
+	}
+	if p.cfg.Block {
+		p.out <- eb
+		return
 	}
 	select {
 	case p.out <- eb:

@@ -460,3 +460,94 @@ func TestSigmaBatchAccountingThroughDrops(t *testing.T) {
 		t.Fatalf("emit-dropped moved %d → %d with no subscriber", st.EmitDropped, after.EmitDropped)
 	}
 }
+
+// TestEmitHandOffFollowsBlock pins the σ′ hand-off policy on a 1-shard pool
+// fed one id at a time. A blocking pool sheds no draw: with a subscriber
+// that keeps up every processed id is offered, and with the emitter held
+// still the worker waits for it (and the producer, behind the worker)
+// instead of dropping. A non-blocking pool held the same way drops the
+// draws that do not fit the output channel and counts them.
+func TestEmitHandOffFollowsBlock(t *testing.T) {
+	t.Run("block=true/live", func(t *testing.T) {
+		p := newTestPool(t, 1, 10, 16, 4, true, 16)
+		sub, err := p.Subscribe(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Cancel()
+		go func() {
+			buf := make([]uint64, 1024)
+			for {
+				if _, ok := sub.Next(buf); !ok {
+					return
+				}
+			}
+		}()
+		const pushes = 20000
+		for i := 0; i < pushes; i++ {
+			if err := p.Push(uint64(i%1000 + 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		st := waitSettled(t, p, sub)
+		if st.EmitDropped != 0 || st.Processed != pushes || sub.Offered() != st.Processed {
+			t.Fatalf("processed %d of %d, offered %d, emit-dropped %d",
+				st.Processed, pushes, sub.Offered(), st.EmitDropped)
+		}
+	})
+	for _, block := range []bool{true, false} {
+		t.Run(fmt.Sprintf("block=%v/held", block), func(t *testing.T) {
+			gate := make(chan struct{})
+			cfg := testConfig(1, 10, 16, 4, block, 16)
+			cfg.OnEmitLag = func(float64) { <-gate } // holds the emitter
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = p.Close() })
+			release := sync.OnceFunc(func() { close(gate) })
+			t.Cleanup(release)          // cleanups run last-in first-out: before Close
+			sub, err := p.Subscribe(16) // never read: the hub drops oldest
+			if err != nil {
+				t.Fatal(err)
+			}
+			const pushes = 200
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < pushes; i++ {
+					if err := p.Push(uint64(i + 1)); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- p.Flush()
+			}()
+			if block {
+				select {
+				case err := <-done:
+					t.Fatalf("pushes completed (%v) with the emitter held: %d draws shed",
+						err, p.Stats().EmitDropped)
+				case <-time.After(100 * time.Millisecond):
+				}
+				release()
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if !block && p.Stats().EmitDropped == 0 {
+				t.Fatal("non-blocking pool shed no draw with the emitter held")
+			}
+			release()
+			st := waitSettled(t, p, sub)
+			if st.Processed+st.Dropped != pushes {
+				t.Fatalf("processed %d + dropped %d != pushed %d", st.Processed, st.Dropped, pushes)
+			}
+			if block && (st.EmitDropped != 0 || st.Dropped != 0) {
+				t.Fatalf("blocking pool dropped %d ids and %d draws", st.Dropped, st.EmitDropped)
+			}
+		})
+	}
+}

@@ -6,10 +6,9 @@
 // Each subscriber owns a fixed-capacity ring buffer filled by Publish under
 // a non-blocking drop-oldest policy. Publish only appends to rings — it
 // never blocks and never waits for a consumer — so ingestion throughput is
-// decoupled from delivery entirely, mirroring the root package's Service
-// guarantee that a lagging subscriber costs dropped stream elements (which
-// a sampling stream can always afford: a later draw carries the same
-// information) rather than stalling the pipeline.
+// decoupled from delivery entirely: a lagging subscriber costs dropped
+// stream elements (which a sampling stream can always afford: a later draw
+// carries the same information) rather than stalling the pipeline.
 //
 // A batch is the unit of delivery. Publish places a batch in a plain
 // subscription's ring (no decimation, no rate cap) with at most two block
@@ -21,8 +20,9 @@
 // subscriber that keeps up receives one frame per pushed batch. C is the
 // channel-shaped adapter over the same primitive for consumers that want
 // one id at a time: its first call starts a goroutine that feeds Next's
-// batches into a buffered channel. A subscription is drained through one
-// or the other, by one goroutine.
+// batches into a buffered channel. Chan is C with a typed channel, which
+// the root package hands to its callers as is. A subscription is drained
+// through Next or through one channel, by one goroutine.
 //
 // Subscriptions may opt into decimation (SubscribeEvery): only every k-th
 // offered id enters the ring, so a modest consumer rides a fast hub
@@ -262,12 +262,14 @@ type Subscription struct {
 	closed bool
 	wake   chan struct{} // capacity 1: at-least-once data signal for Next
 
-	// out and fed exist only for a channel consumer: the first C call makes
-	// the delivery channel (buffered to the ring capacity, so such a
-	// subscriber can lag by roughly twice the requested capacity before
-	// losing elements) and starts feed, which closes fed on exit.
-	out chan uint64
-	fed chan struct{}
+	// out, queued and fed exist only for a channel consumer: the first Chan
+	// call makes the delivery channel (buffered to the ring capacity, so
+	// such a subscriber can lag by roughly twice the requested capacity
+	// before losing elements) and starts feed, which closes fed on exit.
+	// out holds the chan T of that call; queued reports its len.
+	out    any
+	queued func() int
+	fed    chan struct{}
 
 	// every is the decimation interval; seen counts offered ids modulo it
 	// (guarded by mu, like the ring it feeds).
@@ -297,27 +299,29 @@ func (s *Subscription) ID() uint64 { return s.id }
 // channel. It is closed after Cancel (or hub Close) once that goroutine has
 // exited; ids already in the channel buffer remain readable after the
 // close. A subscription drained through C must not also call Next.
-func (s *Subscription) C() <-chan uint64 {
+func (s *Subscription) C() <-chan uint64 { return Chan[uint64](s) }
+
+// Chan is C with a delivery channel of element type T. Every call on one
+// subscription must name the same T (C names uint64).
+func Chan[T ~uint64](s *Subscription) <-chan T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.out == nil {
+		var ch chan T
 		if s.closed {
 			// Cancelled before anybody asked: the ring was already written
 			// off, there is nothing to feed.
-			s.out = make(chan uint64)
-			close(s.out)
+			ch = make(chan T)
+			close(ch)
 		} else {
-			s.out = make(chan uint64, len(s.ring))
+			ch = make(chan T, len(s.ring))
 			s.fed = make(chan struct{})
-			go s.feed()
+			go feed(s, ch)
 		}
+		s.out, s.queued = ch, func() int { return len(ch) }
 	}
-	return s.out
+	return s.out.(chan T)
 }
-
-// Done returns a channel closed when the subscription is cancelled. Bridges
-// that forward C to another sink select on it to unblock a pending send.
-func (s *Subscription) Done() <-chan struct{} { return s.done }
 
 // Offered returns how many ids were published while this subscription was
 // live.
@@ -520,14 +524,14 @@ func (s *Subscription) Next(buf []uint64) ([]uint64, bool) {
 // feedChunk bounds how many ids feed holds between ring and channel.
 const feedChunk = 1024
 
-// feed is C's goroutine: Next's batches, sent into the delivery channel id
-// by id. After Cancel it keeps going for as long as the channel has room
+// feed is Chan's goroutine: Next's batches, sent into the delivery channel
+// id by id. After Cancel it keeps going for as long as the channel has room
 // (Next hands a channel consumer the ring's remainder, offers having
 // stopped) and then moves what cannot be handed over from delivered to
 // dropped. It is the only sender on out, so it alone closes it.
-func (s *Subscription) feed() {
+func feed[T ~uint64](s *Subscription, out chan<- T) {
 	defer close(s.fed)
-	defer close(s.out)
+	defer close(out)
 	buf := make([]uint64, min(len(s.ring), feedChunk))
 	for {
 		ids, ok := s.Next(buf)
@@ -536,12 +540,12 @@ func (s *Subscription) feed() {
 		}
 		for i, id := range ids {
 			select {
-			case s.out <- id:
+			case out <- T(id):
 				continue
 			default:
 			}
 			select {
-			case s.out <- id:
+			case out <- T(id):
 			case <-s.done:
 				// Cancelled with the channel full: the rest of this batch
 				// and of the ring can never be handed over.
@@ -559,13 +563,17 @@ func (s *Subscription) feed() {
 
 // stats snapshots the counters; the caller holds the hub lock. Depth spans
 // every buffering stage there is — the ring and, for a channel consumer,
-// the delivery channel (len of a nil channel is 0) — so a lagging
-// consumer's backlog is visible before drops begin. offer and Next move
-// their counters under mu, so for a batch consumer every snapshot satisfies
+// the delivery channel — so a lagging consumer's backlog is visible before
+// drops begin. offer and Next move their counters under mu, so for a batch
+// consumer every snapshot satisfies
 // Offered == Delivered + Dropped + Filtered + Capped + Depth.
 func (s *Subscription) stats() SubStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	depth := s.size
+	if s.queued != nil {
+		depth += s.queued()
+	}
 	return SubStats{
 		ID:        s.id,
 		Offered:   s.offered.Load(),
@@ -574,7 +582,7 @@ func (s *Subscription) stats() SubStats {
 		Filtered:  s.filtered.Load(),
 		Capped:    s.capped.Load(),
 		Capacity:  len(s.ring),
-		Depth:     s.size + len(s.out),
+		Depth:     depth,
 		Every:     int(s.every),
 		Rate:      uint32(s.rate),
 	}

@@ -271,9 +271,9 @@ func TestCancelIdempotentAndUnsubscribe(t *testing.T) {
 		t.Fatalf("subscribers after cancel: %d", h.NumSubscribers())
 	}
 	select {
-	case <-s.Done():
+	case <-s.done:
 	default:
-		t.Fatal("Done not closed after Cancel")
+		t.Fatal("done not closed after Cancel")
 	}
 	if _, ok := <-s.C(); ok {
 		t.Fatal("delivery channel not closed after Cancel")

@@ -28,7 +28,9 @@ func WithShardBuffer(n int) Option {
 }
 
 // WithNonBlockingIngest makes Pool.Push and Pool.PushBatch drop (and count)
-// sub-batches aimed at a full shard queue instead of blocking the producer.
+// sub-batches aimed at a full shard queue instead of blocking the producer,
+// and makes a shard drop (and count, as PoolStats.EmitDropped) a pushed
+// batch's σ′ draws when the output plane lags instead of waiting for it.
 // This is the right policy for a network daemon absorbing hostile floods: a
 // slow shard costs samples — which a uniform sampling stream can afford —
 // rather than stalling the listener. Only affects NewPool.
@@ -68,11 +70,14 @@ type PoolStats struct {
 	Epoch       uint64 // shard map epoch: 0 at creation, +1 per Resize
 	Processed   uint64 // includes work done by shards retired through Resize
 	Dropped     uint64 // includes drops at shards retired through Resize
-	EmitDropped uint64 // σ′ draws lost before reaching the subscription hub
+	EmitDropped uint64 // σ′ draws lost before the subscription hub (non-blocking pools only)
 	Subscribers []SubscriberStats
 }
 
-// Pool is the horizontally scaled form of Service: N independent
+// Pool runs the sampling service local to a correct node of the paper's
+// Figure 1 — continuously reading σ and writing σ′ — for many concurrent
+// producers and consumers. NewPool(c, 1) is one Sampler behind a worker
+// goroutine; more shards scale it horizontally: N independent
 // knowledge-free sampler shards, each with its own Count-Min sketch,
 // sampling memory Γ of c identifiers and worker goroutine. Identifiers are
 // partitioned across shards by an epoch-versioned shard map (salted
@@ -306,15 +311,14 @@ func (p *Pool) Stats() PoolStats {
 // with Cancel (or Pool.Unsubscribe).
 type PoolSubscription struct {
 	inner *subhub.Subscription
-	out   chan NodeID
+	c     <-chan NodeID
 }
 
 // Subscribe registers a subscriber to the pool's output stream σ′ with a
 // buffer of the given capacity, in ids. Output draws are only generated
 // while at least one subscription is live, so an unsubscribed pool pays
 // nothing for the streaming plane. A subscriber that lags loses the oldest
-// buffered elements (counted in Stats) instead of slowing ingestion — the
-// same guarantee Service.Subscribe gives, at pool scale.
+// buffered elements (counted in Stats) instead of slowing ingestion.
 func (p *Pool) Subscribe(capacity int) (*PoolSubscription, error) {
 	return p.SubscribeEvery(capacity, 1)
 }
@@ -335,9 +339,7 @@ func (p *Pool) SubscribeEvery(capacity, every int) (*PoolSubscription, error) {
 	if err != nil {
 		return nil, poolErr(err)
 	}
-	s := &PoolSubscription{inner: inner, out: make(chan NodeID, capacity)}
-	go s.forward()
-	return s, nil
+	return &PoolSubscription{inner: inner, c: subhub.Chan[NodeID](inner)}, nil
 }
 
 // Unsubscribe cancels a subscription obtained from Subscribe. Nil-safe and
@@ -348,27 +350,10 @@ func (p *Pool) Unsubscribe(s *PoolSubscription) {
 	}
 }
 
-// forward bridges the internal uint64 stream to the typed public channel.
-// A send to a slow consumer blocks here — never upstream, where the hub
-// keeps absorbing and dropping oldest — and cancellation unblocks it.
-func (s *PoolSubscription) forward() {
-	defer close(s.out)
-	for {
-		id, ok := <-s.inner.C()
-		if !ok {
-			return
-		}
-		select {
-		case s.out <- NodeID(id):
-		case <-s.inner.Done():
-			return
-		}
-	}
-}
-
 // C returns the channel carrying the output stream σ′. It is closed when
-// the subscription is cancelled or the pool closes.
-func (s *PoolSubscription) C() <-chan NodeID { return s.out }
+// the subscription is cancelled or the pool closes; the draws it buffered
+// by then stay readable, and those it had no room for count as Dropped.
+func (s *PoolSubscription) C() <-chan NodeID { return s.c }
 
 // Delivered reports how many draws were handed to this subscription's
 // buffer.

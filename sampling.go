@@ -34,7 +34,7 @@ func HashString(s string) NodeID { return HashID([]byte(s)) }
 // emits a stream satisfying Uniformity and Freshness.
 //
 // Implementations returned by this package are not safe for concurrent use;
-// wrap them in a Service for that.
+// NewPool(c, 1) is the concurrent form of one sampler.
 type Sampler interface {
 	// Process consumes one id from the input stream and returns the id
 	// emitted to the output stream at this step.
@@ -189,38 +189,22 @@ func seedFromEntropy() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// strategySampler adapts the factory-built core.PoolSampler to the public
-// NodeID API.
-type strategySampler struct {
-	inner core.PoolSampler
+// sampler adapts an internal core.Sampler — the knowledge-free strategy or
+// the omniscient one — to the public NodeID API.
+type sampler struct {
+	inner core.Sampler
 }
 
-var _ Sampler = (*strategySampler)(nil)
+var _ Sampler = (*sampler)(nil)
 
-func (w *strategySampler) Process(id NodeID) NodeID { return NodeID(w.inner.Process(uint64(id))) }
+func (w *sampler) Process(id NodeID) NodeID { return NodeID(w.inner.Process(uint64(id))) }
 
-func (w *strategySampler) Sample() (NodeID, bool) {
+func (w *sampler) Sample() (NodeID, bool) {
 	id, ok := w.inner.Sample()
 	return NodeID(id), ok
 }
 
-func (w *strategySampler) Memory() []NodeID { return convertIDs(w.inner.Memory()) }
-
-// omniscient adapts core.Omniscient to the public NodeID API.
-type omniscient struct {
-	inner *core.Omniscient
-}
-
-var _ Sampler = (*omniscient)(nil)
-
-func (w *omniscient) Process(id NodeID) NodeID { return NodeID(w.inner.Process(uint64(id))) }
-
-func (w *omniscient) Sample() (NodeID, bool) {
-	id, ok := w.inner.Sample()
-	return NodeID(id), ok
-}
-
-func (w *omniscient) Memory() []NodeID { return convertIDs(w.inner.Memory()) }
+func (w *sampler) Memory() []NodeID { return convertIDs(w.inner.Memory()) }
 
 func convertIDs(in []uint64) []NodeID {
 	out := make([]NodeID, len(in))
@@ -270,7 +254,7 @@ func NewSampler(c int, opts ...Option) (Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &strategySampler{inner: inner}, nil
+	return &sampler{inner: inner}, nil
 }
 
 // NewOmniscientSampler returns the omniscient strategy (the paper's
@@ -292,7 +276,7 @@ func NewOmniscientSampler(c int, oracle Oracle, opts ...Option) (Sampler, error)
 	if err != nil {
 		return nil, err
 	}
-	return &omniscient{inner: inner}, nil
+	return &sampler{inner: inner}, nil
 }
 
 // NewCountingOracle builds an Oracle from exact occurrence counts (for
