@@ -2,7 +2,6 @@ package nodesampling
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -27,212 +26,132 @@ func TestNewPoolValidation(t *testing.T) {
 	}
 }
 
-// TestPoolBasicFlow drives the single-id surface of a 3-shard pool and of
-// NewPool(c, 1), one sampler behind a worker goroutine: Push, Flush,
-// Sample, Memory and Stats, then a stream of pushes and Close, after which
-// the drained pool still samples from what it was fed.
 func TestPoolBasicFlow(t *testing.T) {
-	for _, shards := range []int{3, 1} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			p, err := NewPool(4, shards, WithSeed(1), WithSketch(16, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = p.Close() }()
-			if p.NumShards() != shards {
-				t.Fatalf("NumShards = %d", p.NumShards())
-			}
-			if _, ok := p.Sample(); ok {
-				t.Fatal("sample ok before input")
-			}
-			if err := p.Push(42); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if id, ok := p.Sample(); !ok || id != 42 {
-				t.Fatalf("sample = (%d, %v)", id, ok)
-			}
-			if mem := p.Memory(); len(mem) != 1 || mem[0] != 42 {
-				t.Fatalf("memory = %v", mem)
-			}
-			st := p.Stats()
-			if st.Processed != 1 || len(st.Shards) != shards {
-				t.Fatalf("stats = %+v", st)
-			}
-			for i := 0; i < 100; i++ {
-				if err := p.Push(NodeID(i % 7)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if id, ok := p.Sample(); !ok || (id > 6 && id != 42) {
-				t.Fatalf("sample after close = (%d, %v)", id, ok)
-			}
-			if mem := p.Memory(); len(mem) == 0 || len(mem) > 4*shards {
-				t.Fatalf("memory size %d after close", len(mem))
-			}
-		})
+	p, err := NewPool(4, 3, WithSeed(1), WithSketch(16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = p.Close() }()
+	if p.NumShards() != 3 {
+		t.Fatalf("NumShards = %d", p.NumShards())
+	}
+	if _, ok := p.Sample(); ok {
+		t.Fatal("sample ok before input")
+	}
+	if err := p.Push(42); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := p.Sample(); !ok || id != 42 {
+		t.Fatalf("sample = (%d, %v)", id, ok)
+	}
+	if mem := p.Memory(); len(mem) != 1 || mem[0] != 42 {
+		t.Fatalf("memory = %v", mem)
+	}
+	st := p.Stats()
+	if st.Processed != 1 || len(st.Shards) != 3 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 // TestPoolUnbiasesAttack runs the quickstart attack scenario through the
-// sharded pool, reading samples after each flushed batch, and through
-// NewPool(c, 1) fed one id at a time, reading its output stream σ′: the KL
-// gain must match what the single sampler achieves.
+// sharded pool: the KL gain must match what the single sampler achieves.
 func TestPoolUnbiasesAttack(t *testing.T) {
-	for _, tc := range []struct {
-		shards int
-		sigma  bool // read σ′ from a subscription instead of Sample
-	}{{4, false}, {1, true}} {
-		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
-			const n, m = 500, 120000
-			pmf, err := stream.PeakPMF(n, 7, 50000, 50)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src, err := stream.NewCategorical(pmf, rng.New(21))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := NewPool(8, tc.shards, WithSeed(22), WithSketch(15, 5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = p.Close() }()
-			input := metrics.NewHistogram()
-			output := metrics.NewHistogram()
-			if tc.sigma {
-				sub, err := p.Subscribe(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < m; i++ {
-					id := src.Next()
-					input.Add(id)
-					if err := p.Push(NodeID(id)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := p.Close(); err != nil {
-					t.Fatal(err)
-				}
-				for id := range sub.C() {
-					output.Add(uint64(id))
-				}
-				if output.Total() != m {
-					t.Fatalf("σ′ carried %d draws for %d pushes", output.Total(), m)
-				}
-			} else {
-				// Mirror the single-sampler scenario's one-output-per-input
-				// semantics: after each ingested batch, draw as many samples
-				// from the evolving memories (a frozen final state could
-				// never cover more than the pool's total memory, which would
-				// cap the measurable gain).
-				batch := make([]NodeID, 0, 512)
-				drain := func() {
-					if err := p.PushBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					if err := p.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					for range batch {
-						id, ok := p.Sample()
-						if !ok {
-							t.Fatal("sample not ok on a warm pool")
-						}
-						output.Add(uint64(id))
-					}
-					batch = batch[:0]
-				}
-				for i := 0; i < m; i++ {
-					id := src.Next()
-					input.Add(id)
-					batch = append(batch, NodeID(id))
-					if len(batch) == cap(batch) {
-						drain()
-					}
-				}
-				drain()
-			}
-			g, err := metrics.Gain(input, output, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g < 0.5 {
-				t.Fatalf("pool gain %v under peak attack, want > 0.5", g)
-			}
-		})
+	const n, m = 500, 120000
+	pmf, err := stream.PeakPMF(n, 7, 50000, 50)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// pushIDs feeds ids to p in one PushBatch, or with one Push per id when
-// single is set: the single-id producer NewPool(c, 1) serves.
-func pushIDs(p *Pool, ids []NodeID, single bool) error {
-	if !single {
-		return p.PushBatch(ids)
+	src, err := stream.NewCategorical(pmf, rng.New(21))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range ids {
-		if err := p.Push(id); err != nil {
-			return err
+	p, err := NewPool(8, 4, WithSeed(22), WithSketch(15, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = p.Close() }()
+	input := metrics.NewHistogram()
+	output := metrics.NewHistogram()
+	// Mirror the single-sampler scenario's one-output-per-input semantics:
+	// after each ingested batch, draw as many samples from the evolving
+	// memories (a frozen final state could never cover more than the pool's
+	// total memory, which would cap the measurable gain).
+	batch := make([]NodeID, 0, 512)
+	drain := func() {
+		if err := p.PushBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for range batch {
+			id, ok := p.Sample()
+			if !ok {
+				t.Fatal("sample not ok on a warm pool")
+			}
+			output.Add(uint64(id))
+		}
+		batch = batch[:0]
+	}
+	for i := 0; i < m; i++ {
+		id := src.Next()
+		input.Add(id)
+		batch = append(batch, NodeID(id))
+		if len(batch) == cap(batch) {
+			drain()
 		}
 	}
-	return nil
+	drain()
+	g, err := metrics.Gain(input, output, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g < 0.5 {
+		t.Fatalf("pool gain %v under peak attack, want > 0.5", g)
+	}
 }
 
-// TestPoolConcurrentUse hammers a pool from many producers while they read
-// samples and memory — 64-id batches into 8 shards, and single ids into
-// NewPool(c, 1). Under -race it doubles as the data-race test for both.
 func TestPoolConcurrentUse(t *testing.T) {
-	for _, tc := range []struct {
-		shards int
-		single bool
-	}{{8, false}, {1, true}} {
-		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
-			p, err := NewPool(10, tc.shards, WithSeed(3), WithSketch(10, 5), WithShardBuffer(8))
-			if err != nil {
-				t.Fatal(err)
+	p, err := NewPool(10, 8, WithSeed(3), WithSketch(10, 5), WithShardBuffer(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = p.Close() }()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			src := rng.New(uint64(g) + 10)
+			batch := make([]NodeID, 64)
+			for b := 0; b < 40; b++ {
+				for i := range batch {
+					batch[i] = NodeID(src.Uint64n(5000))
+				}
+				if err := p.PushBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+				p.Sample()
 			}
-			defer func() { _ = p.Close() }()
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					src := rng.New(uint64(g) + 10)
-					batch := make([]NodeID, 64)
-					for b := 0; b < 40; b++ {
-						for i := range batch {
-							batch[i] = NodeID(src.Uint64n(5000))
-						}
-						if err := pushIDs(p, batch, tc.single); err != nil {
-							t.Error(err)
-							return
-						}
-						p.Sample()
-						p.Memory()
-					}
-				}(g)
-			}
-			wg.Wait()
-			if err := p.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			st := p.Stats()
-			if want := uint64(8 * 40 * 64); st.Processed != want {
-				t.Fatalf("processed %d, want %d", st.Processed, want)
-			}
-			if st.Dropped != 0 {
-				t.Fatalf("blocking pool dropped %d", st.Dropped)
-			}
-			if len(p.SampleN(10)) != 10 {
-				t.Fatal("SampleN short on a warm pool")
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if want := uint64(8 * 40 * 64); st.Processed != want {
+		t.Fatalf("processed %d, want %d", st.Processed, want)
+	}
+	if st.Dropped != 0 {
+		t.Fatalf("blocking pool dropped %d", st.Dropped)
+	}
+	if len(p.SampleN(10)) != 10 {
+		t.Fatal("SampleN short on a warm pool")
 	}
 }
 
@@ -257,232 +176,205 @@ func TestPoolNonBlockingIngestDrops(t *testing.T) {
 	}
 }
 
-// TestPoolSubscribe drives the public streaming surface of a 4-shard pool
-// fed a batch and of NewPool(c, 1) fed one id at a time: draws arrive on
+// TestPoolSubscribe drives the public streaming surface: draws arrive on
 // the subscription channel, come from the pushed population, and the
 // counters surface through Stats.
 func TestPoolSubscribe(t *testing.T) {
-	for _, tc := range []struct {
-		shards int
-		single bool
-	}{{4, false}, {1, true}} {
-		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
-			p, err := NewPool(10, tc.shards, WithSeed(6), WithSketch(16, 4))
-			if err != nil {
-				t.Fatal(err)
+	p, err := NewPool(10, 4, WithSeed(6), WithSketch(16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = p.Close() }()
+	if _, err := p.Subscribe(0); err == nil {
+		t.Error("capacity 0 should fail")
+	}
+	sub, err := p.Subscribe(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]NodeID, 400)
+	for i := range ids {
+		ids[i] = NodeID(i + 1)
+	}
+	if err := p.PushBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	deadline := time.After(5 * time.Second)
+	for seen < 200 {
+		select {
+		case id := <-sub.C():
+			if id < 1 || id > 400 {
+				t.Fatalf("draw %d outside the pushed population", id)
 			}
-			defer func() { _ = p.Close() }()
-			if _, err := p.Subscribe(0); err == nil {
-				t.Error("capacity 0 should fail")
+			seen++
+		case <-deadline:
+			t.Fatalf("received only %d draws", seen)
+		}
+	}
+	st := p.Stats()
+	if len(st.Subscribers) != 1 || st.Subscribers[0].Delivered == 0 {
+		t.Fatalf("subscriber stats = %+v", st.Subscribers)
+	}
+	sub.Cancel()
+	sub.Cancel() // idempotent
+	p.Unsubscribe(sub)
+	p.Unsubscribe(nil)
+	// The channel must close after cancellation (possibly after buffered
+	// draws drain).
+	deadline = time.After(5 * time.Second)
+	for {
+		select {
+		case _, ok := <-sub.C():
+			if !ok {
+				return
 			}
-			sub, err := p.Subscribe(2048)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids := make([]NodeID, 400)
-			for i := range ids {
-				ids[i] = NodeID(i + 1)
-			}
-			if err := pushIDs(p, ids, tc.single); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			seen := 0
-			deadline := time.After(5 * time.Second)
-			for seen < 200 {
-				select {
-				case id := <-sub.C():
-					if id < 1 || id > 400 {
-						t.Fatalf("draw %d outside the pushed population", id)
-					}
-					seen++
-				case <-deadline:
-					t.Fatalf("received only %d draws", seen)
-				}
-			}
-			st := p.Stats()
-			if len(st.Subscribers) != 1 || st.Subscribers[0].Delivered == 0 {
-				t.Fatalf("subscriber stats = %+v", st.Subscribers)
-			}
-			sub.Cancel()
-			sub.Cancel() // idempotent
-			p.Unsubscribe(sub)
-			p.Unsubscribe(nil)
-			// The channel must close after cancellation (possibly after
-			// buffered draws drain).
-			deadline = time.After(5 * time.Second)
-			for {
-				select {
-				case _, ok := <-sub.C():
-					if !ok {
-						return
-					}
-				case <-deadline:
-					t.Fatal("subscription channel never closed after Cancel")
-				}
-			}
-		})
+		case <-deadline:
+			t.Fatal("subscription channel never closed after Cancel")
+		}
 	}
 }
 
 // TestPoolSlowSubscriberNeverBlocksIngest is the satellite guarantee: a
-// subscriber that never reads must not stall a *blocking* pool's ingestion
-// — 1024-id batches into 4 shards, or single ids into NewPool(c, 1) behind
-// a 1-id subscription — and the drop counters must account for every
-// undelivered draw.
+// subscriber that never reads must not stall a *blocking* pool's ingestion,
+// and the drop counters must account for every undelivered draw.
 func TestPoolSlowSubscriberNeverBlocksIngest(t *testing.T) {
-	for _, tc := range []struct {
-		shards, capacity int
-		single           bool
-	}{{4, 64, false}, {1, 1, true}} {
-		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
-			p, err := NewPool(10, tc.shards, WithSeed(8), WithSketch(16, 4), WithShardBuffer(16))
-			if err != nil {
-				t.Fatal(err)
+	p, err := NewPool(10, 4, WithSeed(8), WithSketch(16, 4), WithShardBuffer(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = p.Close() }()
+	sub, err := p.Subscribe(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nobody ever reads sub.C().
+	batch := make([]NodeID, 1024)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := 0; r < 100; r++ {
+			for i := range batch {
+				batch[i] = NodeID(r*len(batch) + i)
 			}
-			defer func() { _ = p.Close() }()
-			sub, err := p.Subscribe(tc.capacity)
-			if err != nil {
-				t.Fatal(err)
+			if err := p.PushBatch(batch); err != nil {
+				t.Error(err)
+				return
 			}
-			// Nobody ever reads sub.C().
-			batch := make([]NodeID, 1024)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for r := 0; r < 100; r++ {
-					for i := range batch {
-						batch[i] = NodeID(r*len(batch) + i)
-					}
-					if err := pushIDs(p, batch, tc.single); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				if err := p.Flush(); err != nil {
-					t.Error(err)
-				}
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("ingestion blocked behind a stalled subscriber")
-			}
-			// Wait for the emitter to drain, then pin the accounting
-			// identity: every draw generated was offered to the subscriber
-			// or dropped by the emitter, and after cancellation offered ==
-			// delivered + dropped.
-			deadline := time.Now().Add(5 * time.Second)
-			var st PoolStats
-			for {
-				st = p.Stats()
-				if len(st.Subscribers) == 1 &&
-					st.Subscribers[0].Offered+st.EmitDropped == st.Processed {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("emission accounting never settled: %+v", st)
-				}
-				time.Sleep(time.Millisecond)
-			}
-			if st.Subscribers[0].Dropped == 0 {
-				t.Fatal("stalled subscriber dropped nothing")
-			}
-			offered := st.Subscribers[0].Offered
-			sub.Cancel()
-			if got := sub.Delivered() + sub.Dropped(); got != offered {
-				t.Fatalf("accounting leak: delivered %d + dropped %d != offered %d",
-					sub.Delivered(), sub.Dropped(), offered)
-			}
-		})
+		}
+		if err := p.Flush(); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("ingestion blocked behind a stalled subscriber")
+	}
+	// Wait for the emitter to drain, then pin the accounting identity:
+	// every draw generated was offered to the subscriber or dropped by the
+	// emitter, and after cancellation offered == delivered + dropped.
+	deadline := time.Now().Add(5 * time.Second)
+	var st PoolStats
+	for {
+		st = p.Stats()
+		if len(st.Subscribers) == 1 &&
+			st.Subscribers[0].Offered+st.EmitDropped == st.Processed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("emission accounting never settled: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st.Subscribers[0].Dropped == 0 {
+		t.Fatal("stalled subscriber dropped nothing")
+	}
+	offered := st.Subscribers[0].Offered
+	sub.Cancel()
+	if got := sub.Delivered() + sub.Dropped(); got != offered {
+		t.Fatalf("accounting leak: delivered %d + dropped %d != offered %d",
+			sub.Delivered(), sub.Dropped(), offered)
 	}
 }
 
 // TestPoolCloseRaces fires Close in the middle of concurrent PushBatch,
-// Sample, Stats and Subscribe traffic into a non-blocking 4-shard pool,
-// and of single-id Push traffic into a blocking NewPool(c, 1); the race
-// detector plus the either-complete-or-ErrPoolClosed contract are the
-// assertions.
+// Sample, Stats and Subscribe traffic; the race detector plus the
+// either-complete-or-ErrPoolClosed contract are the assertions.
 func TestPoolCloseRaces(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		for _, single := range []bool{false, true} {
-			opts := []Option{WithSeed(uint64(round) + 30), WithSketch(10, 4), WithShardBuffer(4)}
-			shards := 1
-			if !single {
-				shards = 4
-				opts = append(opts, WithNonBlockingIngest())
-			}
-			p, err := NewPool(10, shards, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			for g := 0; g < 3; g++ {
-				wg.Add(4)
-				go func(g int) {
-					defer wg.Done()
-					<-start
-					batch := make([]NodeID, 64)
-					for i := range batch {
-						batch[i] = NodeID(g*1000 + i)
-					}
-					for j := 0; j < 50; j++ {
-						if err := pushIDs(p, batch, single); err != nil {
-							if !errors.Is(err, ErrPoolClosed) {
-								t.Errorf("push: %v", err)
-							}
-							return
+		p, err := NewPool(10, 4, WithSeed(uint64(round)+30), WithSketch(10, 4),
+			WithShardBuffer(4), WithNonBlockingIngest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 3; g++ {
+			wg.Add(4)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				batch := make([]NodeID, 64)
+				for i := range batch {
+					batch[i] = NodeID(g*1000 + i)
+				}
+				for j := 0; j < 50; j++ {
+					if err := p.PushBatch(batch); err != nil {
+						if !errors.Is(err, ErrPoolClosed) {
+							t.Errorf("PushBatch: %v", err)
 						}
+						return
 					}
-				}(g)
-				go func() {
-					defer wg.Done()
-					<-start
-					for j := 0; j < 50; j++ {
-						p.Sample()
-					}
-				}()
-				go func() {
-					defer wg.Done()
-					<-start
-					for j := 0; j < 50; j++ {
-						p.Stats()
-					}
-				}()
-				go func() {
-					defer wg.Done()
-					<-start
-					for j := 0; j < 10; j++ {
-						sub, err := p.Subscribe(8)
-						if err != nil {
-							if !errors.Is(err, ErrPoolClosed) {
-								t.Errorf("Subscribe: %v", err)
-							}
-							return
-						}
-						select {
-						case <-sub.C():
-						default:
-						}
-						sub.Cancel()
-					}
-				}()
-			}
-			wg.Add(1)
+				}
+			}(g)
 			go func() {
 				defer wg.Done()
 				<-start
-				if err := p.Close(); err != nil {
-					t.Errorf("Close: %v", err)
+				for j := 0; j < 50; j++ {
+					p.Sample()
 				}
 			}()
-			close(start)
-			wg.Wait()
-			_ = p.Close()
+			go func() {
+				defer wg.Done()
+				<-start
+				for j := 0; j < 50; j++ {
+					p.Stats()
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				for j := 0; j < 10; j++ {
+					sub, err := p.Subscribe(8)
+					if err != nil {
+						if !errors.Is(err, ErrPoolClosed) {
+							t.Errorf("Subscribe: %v", err)
+						}
+						return
+					}
+					select {
+					case <-sub.C():
+					default:
+					}
+					sub.Cancel()
+				}
+			}()
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := p.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		_ = p.Close()
 	}
 }
 
@@ -682,99 +574,31 @@ func TestPoolSubscribeEvery(t *testing.T) {
 	sub.Cancel()
 }
 
-// TestPoolSubscriberStatsOneShard pins per-subscriber accounting and
-// decimation on NewPool(c, 1) fed one id at a time, and that Close hands a
-// subscriber that kept up every draw: a blocking pool's emitter sheds
-// nothing, and a subscription channel keeps what it buffered.
-func TestPoolSubscriberStatsOneShard(t *testing.T) {
-	const pushes, every = 256, 4
-	for seed := uint64(1); seed <= 20; seed++ {
-		p, err := NewPool(4, 1, WithSeed(seed), WithSketch(16, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = p.Close() }()
-		full, err := p.Subscribe(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		thin, err := p.SubscribeEvery(512, every)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < pushes; i++ {
-			if err := p.Push(NodeID(i % 9)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var st PoolStats
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			st = p.Stats()
-			if st.Subscribers[0].Offered+st.EmitDropped == pushes && st.Subscribers[1].Offered+st.EmitDropped == pushes {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("seed %d: stats never settled: %+v", seed, st)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if st.Subscribers[0].Every != 1 || st.Subscribers[1].Every != every || st.Subscribers[0].Filtered != 0 {
-			t.Fatalf("seed %d: subscriber stats %+v", seed, st.Subscribers)
-		}
-		if want := uint64(pushes - pushes/every); st.Subscribers[1].Filtered != want {
-			t.Fatalf("seed %d: thin subscription filtered %d, want %d", seed, st.Subscribers[1].Filtered, want)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-		nFull, nThin := 0, 0
-		for range full.C() {
-			nFull++
-		}
-		for range thin.C() {
-			nThin++
-		}
-		if nFull != pushes || nThin != pushes/every {
-			t.Fatalf("seed %d: full subscriber received %d of %d, every-%d subscriber %d of %d (emit-dropped %d)",
-				seed, nFull, pushes, every, nThin, pushes/every, st.EmitDropped)
-		}
-	}
-}
-
-// TestPoolClose pins Close on a 2-shard pool and on NewPool(c, 1): it is
-// idempotent, and every later Push, PushBatch, Flush or Subscribe returns
-// ErrPoolClosed.
 func TestPoolClose(t *testing.T) {
-	for _, shards := range []int{2, 1} {
-		p, err := NewPool(5, shards, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Push(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err) // idempotent
-		}
-		if err := p.Push(2); !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("Push after close = %v, want ErrPoolClosed", err)
-		}
-		if err := p.PushBatch([]NodeID{3}); !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("PushBatch after close = %v, want ErrPoolClosed", err)
-		}
-		if err := p.Flush(); !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("Flush after close = %v, want ErrPoolClosed", err)
-		}
-		if _, err := p.Subscribe(1); !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("Subscribe after close = %v, want ErrPoolClosed", err)
-		}
+	p, err := NewPool(5, 2, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err) // idempotent
+	}
+	if err := p.Push(2); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("Push after close = %v, want ErrPoolClosed", err)
+	}
+	if err := p.PushBatch([]NodeID{3}); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("PushBatch after close = %v, want ErrPoolClosed", err)
+	}
+	if err := p.Flush(); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("Flush after close = %v, want ErrPoolClosed", err)
+	}
+	if _, err := p.Subscribe(1); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("Subscribe after close = %v, want ErrPoolClosed", err)
 	}
 }
 
