@@ -26,6 +26,10 @@
 //	    for id := range out { use(id) }
 //	}()
 //	c.PushBatch(ids) // as the overlay gossips them in
+//
+// Ids are nodeid.NodeID, the same type as nodesampling.NodeID. Code that
+// only talks to a daemon should import nodesampling/nodeid to name it:
+// importing nodesampling makes its build depend on the whole sampler.
 package client
 
 import (
@@ -37,10 +41,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nodesampling"
 	"nodesampling/internal/netgossip"
 	"nodesampling/internal/rng"
-	"nodesampling/internal/subhub"
+	"nodesampling/nodeid"
 )
 
 // ErrClosed is returned by calls on a client whose connection has been
@@ -55,7 +58,7 @@ const MaxSubscribeCapacity = 1 << 20
 
 // MaxSubscribeEvery bounds the decimation interval to the daemon's own
 // limit.
-const MaxSubscribeEvery = subhub.MaxDecimation
+const MaxSubscribeEvery = netgossip.MaxDecimation
 
 // rpcTimeout bounds how long Sample and Ping wait for their response frame.
 const rpcTimeout = 30 * time.Second
@@ -146,10 +149,10 @@ type Client struct {
 	pongc   chan taggedToken
 
 	mu       sync.Mutex
-	conn     net.Conn                 // current connection; swapped on reconnect
-	gen      uint64                   // bumped with every fresh connection (session identity)
-	stream   chan nodesampling.NodeID // nil until Subscribe
-	subCap   int                      // saved Subscribe arguments for re-subscription
+	conn     net.Conn           // current connection; swapped on reconnect
+	gen      uint64             // bumped with every fresh connection (session identity)
+	stream   chan nodeid.NodeID // nil until Subscribe
+	subCap   int                // saved Subscribe arguments for re-subscription
 	subEvery int
 	subRate  uint32 // saved delivery rate cap (ids/second; 0 uncapped)
 	// resumeToken is the daemon's SubAck token for the live subscription
@@ -458,7 +461,7 @@ func (c *Client) dispatchStream(ids []uint64) {
 	}
 	for i, id := range ids {
 		select {
-		case stream <- nodesampling.NodeID(id):
+		case stream <- nodeid.NodeID(id):
 		default:
 			c.streamDropped.Add(uint64(len(ids) - i))
 			return
@@ -506,7 +509,7 @@ func (c *Client) sessionGen() uint64 {
 // PushBatch feeds identifiers into the daemon's input stream. Batches
 // larger than the wire limit are split transparently. The slice may be
 // reused after the call returns.
-func (c *Client) PushBatch(ids []nodesampling.NodeID) error {
+func (c *Client) PushBatch(ids []nodeid.NodeID) error {
 	for len(ids) > 0 {
 		n := len(ids)
 		if n > netgossip.MaxBatch {
@@ -527,7 +530,7 @@ func (c *Client) PushBatch(ids []nodesampling.NodeID) error {
 // Sample requests n uniform samples (1 ≤ n; the daemon caps how many it
 // answers with). An empty slice with a nil error means the pool holds no
 // ids yet.
-func (c *Client) Sample(n int) ([]nodesampling.NodeID, error) {
+func (c *Client) Sample(n int) ([]nodeid.NodeID, error) {
 	// A SampleResp frame carries at most MaxBatch ids, so larger requests
 	// could never be answered in full anyway.
 	if n < 1 || n > netgossip.MaxBatch {
@@ -554,9 +557,9 @@ func (c *Client) Sample(n int) ([]nodesampling.NodeID, error) {
 				// longer exists; keep waiting for this session's answer.
 				continue
 			}
-			out := make([]nodesampling.NodeID, len(resp.ids))
+			out := make([]nodeid.NodeID, len(resp.ids))
 			for i, id := range resp.ids {
-				out[i] = nodesampling.NodeID(id)
+				out[i] = nodeid.NodeID(id)
 			}
 			return out, nil
 		case <-c.done:
@@ -646,7 +649,7 @@ func (c *Client) Ping() error {
 // traffic for an extended period (its slowloris defence); a subscriber
 // that pushes nothing should call Ping every few minutes to keep the
 // stream alive.
-func (c *Client) Subscribe(capacity int) (<-chan nodesampling.NodeID, error) {
+func (c *Client) Subscribe(capacity int) (<-chan nodeid.NodeID, error) {
 	return c.SubscribeEvery(capacity, 1)
 }
 
@@ -662,7 +665,7 @@ func (c *Client) Subscribe(capacity int) (<-chan nodesampling.NodeID, error) {
 // two deliveries stay (at least) every offered draws apart. A daemon that
 // does not know the token (it restarted, or the token expired) starts a
 // fresh window, which can only stretch delivery spacing, never compress it.
-func (c *Client) SubscribeEvery(capacity, every int) (<-chan nodesampling.NodeID, error) {
+func (c *Client) SubscribeEvery(capacity, every int) (<-chan nodeid.NodeID, error) {
 	return c.SubscribeRate(capacity, every, 0)
 }
 
@@ -672,7 +675,7 @@ func (c *Client) SubscribeEvery(capacity, every int) (<-chan nodesampling.NodeID
 // second of burst. rate 0 leaves the subscription uncapped. Decimation
 // composes with the cap: the 1-in-every thinning runs first, the bucket
 // meters what survives it.
-func (c *Client) SubscribeRate(capacity, every int, rate uint32) (<-chan nodesampling.NodeID, error) {
+func (c *Client) SubscribeRate(capacity, every int, rate uint32) (<-chan nodeid.NodeID, error) {
 	if capacity < 1 || capacity > MaxSubscribeCapacity {
 		return nil, fmt.Errorf("client: subscription capacity must be in [1, %d], got %d", MaxSubscribeCapacity, capacity)
 	}
@@ -693,7 +696,7 @@ func (c *Client) SubscribeRate(capacity, every int, rate uint32) (<-chan nodesam
 		c.mu.Unlock()
 		return nil, err
 	}
-	ch := make(chan nodesampling.NodeID, capacity)
+	ch := make(chan nodeid.NodeID, capacity)
 	c.stream = ch
 	c.subCap, c.subEvery, c.subRate = capacity, every, rate
 	c.mu.Unlock()

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"nodesampling"
 	"nodesampling/internal/netgossip"
+	"nodesampling/nodeid"
 )
 
 // fakeServer answers the framed protocol on one end of a pipe with
@@ -85,7 +85,7 @@ func TestClientSubscribeStream(t *testing.T) {
 	if _, err := c.Subscribe(16); err == nil {
 		t.Fatal("double subscribe should fail")
 	}
-	want := []nodesampling.NodeID{1, 2, 3, 4}
+	want := []nodeid.NodeID{1, 2, 3, 4}
 	if err := c.PushBatch(want); err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestClientPushChunksLargeBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := make([]nodesampling.NodeID, netgossip.MaxBatch+10)
+	big := make([]nodeid.NodeID, netgossip.MaxBatch+10)
 	for i := range big {
-		big[i] = nodesampling.NodeID(i)
+		big[i] = nodeid.NodeID(i)
 	}
 	if err := c.PushBatch(big); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestClientCloseUnblocksAndReports(t *testing.T) {
 	if err := c.Ping(); err == nil {
 		t.Fatal("Ping on closed client should fail")
 	}
-	if err := c.PushBatch([]nodesampling.NodeID{1}); err == nil {
+	if err := c.PushBatch([]nodeid.NodeID{1}); err == nil {
 		t.Fatal("PushBatch on closed client should fail")
 	}
 	_ = c.Close() // idempotent
@@ -326,7 +326,7 @@ func TestClientReconnectResubscribes(t *testing.T) {
 		t.Fatal("server never saw the subscription")
 	}
 	// The decimated echo stub streams pushed batches straight back.
-	if err := c.PushBatch([]nodesampling.NodeID{1, 2, 3}); err != nil {
+	if err := c.PushBatch([]nodeid.NodeID{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -370,7 +370,7 @@ func TestClientReconnectResubscribes(t *testing.T) {
 	deadline := time.After(10 * time.Second)
 	got := false
 	for !got {
-		_ = c.PushBatch([]nodesampling.NodeID{4, 5, 6})
+		_ = c.PushBatch([]nodeid.NodeID{4, 5, 6})
 		select {
 		case id, ok := <-out:
 			if !ok {

@@ -1,4 +1,4 @@
-package telemetry
+package main
 
 import (
 	"strings"
@@ -8,6 +8,7 @@ import (
 	"nodesampling/internal/autoscale"
 	"nodesampling/internal/core"
 	"nodesampling/internal/shard"
+	"nodesampling/internal/telemetry"
 )
 
 func newTestPool(t *testing.T, shards int) *shard.Pool {
@@ -49,13 +50,13 @@ func TestPoolCollectorReconcilesWithStats(t *testing.T) {
 	}
 	defer p.Unsubscribe(sub)
 
-	r := NewRegistry()
-	r.Register(PoolCollector(p))
+	r := telemetry.NewRegistry()
+	r.Register(poolCollector(p))
 	var sb strings.Builder
 	if _, err := r.WriteTo(&sb); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	s, err := Parse(strings.NewReader(sb.String()))
+	s, err := telemetry.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -88,12 +89,12 @@ func TestPoolCollectorMonotoneAcrossResize(t *testing.T) {
 	}
 	read := func() map[string]float64 {
 		var sb strings.Builder
-		r := NewRegistry()
-		r.Register(PoolCollector(p))
+		r := telemetry.NewRegistry()
+		r.Register(poolCollector(p))
 		if _, err := r.WriteTo(&sb); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		s, err := Parse(strings.NewReader(sb.String()))
+		s, err := telemetry.Parse(strings.NewReader(sb.String()))
 		if err != nil {
 			t.Fatalf("Parse: %v", err)
 		}
@@ -156,13 +157,13 @@ func TestAutoscaleCollector(t *testing.T) {
 		t.Fatalf("autoscale.New: %v", err)
 	}
 
-	r := NewRegistry()
-	r.Register(AutoscaleCollector(c))
+	r := telemetry.NewRegistry()
+	r.Register(autoscaleCollector(c))
 	var sb strings.Builder
 	if _, err := r.WriteTo(&sb); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	s, err := Parse(strings.NewReader(sb.String()))
+	s, err := telemetry.Parse(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -177,7 +178,7 @@ func TestAutoscaleCollector(t *testing.T) {
 	}
 
 	// Nil controller must collect nothing rather than panic.
-	if fams := AutoscaleCollector(nil).Collect(); fams != nil {
+	if fams := autoscaleCollector(nil).Collect(); fams != nil {
 		t.Errorf("nil controller collected %d families", len(fams))
 	}
 }

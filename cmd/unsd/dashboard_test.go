@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"nodesampling/internal/loadgen"
+	"nodesampling/client"
 )
 
 // TestDashboardFamiliesExported is the static gate between the committed
@@ -58,7 +58,7 @@ func TestDashboardFamiliesExported(t *testing.T) {
 	for _, src := range []*daemon{d, fleet[0]} {
 		ts := httptest.NewServer(src.handler())
 		defer ts.Close()
-		s, err := loadgen.ScrapeMetrics(context.Background(), nil, ts.URL+"/metrics", "")
+		s, err := client.ScrapeMetrics(context.Background(), nil, ts.URL+"/metrics", "")
 		if err != nil {
 			t.Fatal(err)
 		}

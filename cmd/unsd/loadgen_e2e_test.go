@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nodesampling/client"
 	"nodesampling/internal/loadgen"
 )
 
@@ -36,7 +37,7 @@ func TestScrapeUnderFlood(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				if _, err := loadgen.ScrapeMetrics(ctx, nil, ts.URL+"/metrics", ""); err != nil {
+				if _, err := client.ScrapeMetrics(ctx, nil, ts.URL+"/metrics", ""); err != nil {
 					if ctx.Err() == nil {
 						scrapeFailures.Add(1)
 					}

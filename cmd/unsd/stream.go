@@ -402,8 +402,8 @@ func (s *streamServer) handle(conn net.Conn) {
 				capacity = maxSubscribeBuffer
 			}
 			every := int(f.Every)
-			if every > subhub.MaxDecimation {
-				every = subhub.MaxDecimation
+			if every > netgossip.MaxDecimation {
+				every = netgossip.MaxDecimation
 			}
 			// A presented token redeems the previous session's decimation
 			// phase; none, or an unknown or expired one, starts a fresh window.

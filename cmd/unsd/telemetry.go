@@ -1,14 +1,14 @@
 package main
 
 // The daemon's observability surface: the /metrics endpoint (Prometheus
-// text format v0.0.4, internal/telemetry), the daemon-level collector for
-// counters the generic collectors cannot see (listeners, auth, snapshots),
-// the live uniformity gauge's plumbing, the unified ingest funnel (batch
-// latency histogram plus the sampled root span of the ingest→σ′ trace),
-// and the pprof mount. Scrape-side work is pull-only — collectors read
-// atomics and short-lived-lock snapshots at scrape time; the per-batch
-// ingest cost is two atomic histogram updates and, unsampled, one atomic
-// add in the tracer.
+// text format v0.0.4, internal/telemetry), the pool and autoscaler
+// collectors (collectors.go), the daemon-level collector for counters
+// neither of those sees (listeners, auth, snapshots), the live uniformity
+// gauge's plumbing, the unified ingest funnel (batch latency histogram plus
+// the sampled root span of the ingest→σ′ trace), and the pprof mount.
+// Scrape-side work is pull-only — collectors read atomics and
+// short-lived-lock snapshots at scrape time; the per-batch ingest cost is
+// two atomic histogram updates and, unsampled, one atomic add in the tracer.
 
 import (
 	"net/http"
@@ -72,8 +72,8 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (d *daemon) newRegistry() *telemetry.Registry {
 	reg := telemetry.NewRegistry()
 	reg.Register(
-		telemetry.PoolCollector(d.pool),
-		telemetry.AutoscaleCollector(d.ctrl),
+		poolCollector(d.pool),
+		autoscaleCollector(d.ctrl),
 		d.uniformity,
 		d.latency,
 		telemetry.CollectorFunc(d.collectDaemon),

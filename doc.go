@@ -52,7 +52,7 @@
 // "knowledge-free"; a blob naming any other (including the retired
 // "basalt") is refused by name, and pre-v2 blobs restore bit-identical.
 //
-// The attack table (unsbench -run tournament, internal/adversary.RunTournament)
+// The attack table (unsbench -run tournament, internal/experiments.RunTournament)
 // runs it against four adversarial input models and scores the windowed KL
 // divergence of input and output against uniform, plus the paper's G_KL
 // gain (1 = all attack bias removed). A reference run (population 256,
@@ -152,11 +152,12 @@
 // it had no room for as dropped. Subscriptions may opt
 // into decimation (SubscribeEvery): only every k-th draw is delivered, so
 // a modest consumer rides a fast pool at a rate it can afford — a 1-in-k
-// thinning of an i.i.d. uniform stream is itself i.i.d. uniform. A
-// subscription can also be rate-capped (SubscribeRate, the client's
-// SubscribeRate, the wire protocol's rate field): a token bucket of r
-// tokens per second with a one-second burst drops draws beyond the cap
-// before they reach the buffer — time-based where decimation is
+// thinning of an i.i.d. uniform stream is itself i.i.d. uniform. A daemon
+// subscription can also be rate-capped (client.Client.SubscribeRate, the
+// wire protocol's rate field, applied by the daemon's internal
+// shard.Pool.SubscribeWith; this package's Pool has no rate cap): a token
+// bucket of r tokens per second with a one-second burst drops draws beyond
+// the cap before they reach the buffer — time-based where decimation is
 // count-based, and like it a uniformity-preserving thinning; the drops are
 // accounted separately ("capped") from buffer overflow. Over the framed
 // stream protocol every subscription is also resumable: there is one
@@ -164,8 +165,8 @@
 // acknowledgement carries a resume token, and a reconnecting client that
 // presents it continues the 1-in-k phase exactly where the dropped
 // connection left off instead of restarting the count. NewPool(c, 1)
-// fans out through the same hub, with the same accounting, decimation and
-// rate caps, at single-sampler scale.
+// fans out through the same hub, with the same accounting and decimation,
+// at single-sampler scale.
 //
 // # Hot path anatomy
 //
@@ -357,4 +358,8 @@
 //	for id := range out {  // σ′ downstream
 //	    ...
 //	}
+//
+// Such client-only code names ids as nodeid.NodeID, from the leaf package
+// nodesampling/nodeid (NodeID here is the same type), so that its build
+// links no sampler.
 package nodesampling

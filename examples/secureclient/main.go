@@ -30,8 +30,8 @@ import (
 	"os"
 	"time"
 
-	"nodesampling"
 	"nodesampling/client"
+	"nodesampling/nodeid"
 )
 
 func main() {
@@ -83,9 +83,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ids := make([]nodesampling.NodeID, 256)
+	ids := make([]nodeid.NodeID, 256)
 	for i := range ids {
-		ids[i] = nodesampling.NodeID(i + 1)
+		ids[i] = nodeid.NodeID(i + 1)
 	}
 	if err := c.PushBatch(ids); err != nil {
 		return err

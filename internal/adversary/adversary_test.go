@@ -259,7 +259,7 @@ func EmpiricalTargetedSuccess(k, s, decoys, trials int, r *rng.Xoshiro) (float64
 	}
 	success := 0
 	for t := 0; t < trials; t++ {
-		fam, err := hashing.NewFamily(s, k, r)
+		fam, err := hashing.NewFamilyMode(s, k, r, hashing.ModeFastrange)
 		if err != nil {
 			return 0, err
 		}
@@ -294,7 +294,7 @@ func EmpiricalFloodingSuccess(k, s, decoys, trials int, r *rng.Xoshiro) (float64
 	success := 0
 	covered := make([]bool, k)
 	for t := 0; t < trials; t++ {
-		fam, err := hashing.NewFamily(s, k, r)
+		fam, err := hashing.NewFamilyMode(s, k, r, hashing.ModeFastrange)
 		if err != nil {
 			return 0, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"nodesampling/internal/adversary"
 	"nodesampling/internal/core"
 	"nodesampling/internal/gossip"
 	"nodesampling/internal/metrics"
@@ -371,12 +370,12 @@ func Gossip(cfg Config) (Table, error) {
 }
 
 // tournament runs the knowledge-free sampler's attack table
-// (adversary.RunTournament) at the tournament's reference point. Quick does
+// (RunTournament) at the tournament's reference point. Quick does
 // not shrink it, so the table is always the one the nodesampling package
 // documentation quotes.
 func tournament(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
-	res, err := adversary.RunTournament(adversary.TournamentConfig{Seed: cfg.Seed})
+	res, err := RunTournament(TournamentConfig{Seed: cfg.Seed})
 	if err != nil {
 		return Table{}, fmt.Errorf("tournament: %w", err)
 	}

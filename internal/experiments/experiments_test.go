@@ -3,8 +3,6 @@ package experiments
 import (
 	"strconv"
 	"testing"
-
-	"nodesampling/internal/adversary"
 )
 
 func quickCfg() Config {
@@ -490,13 +488,13 @@ func TestGossipPositiveGains(t *testing.T) {
 }
 
 // TestTournamentTable: the tournament table carries one row per attack
-// cell of adversary.RunTournament at the config's seed, with its G_KL.
+// cell of RunTournament at the config's seed, with its G_KL.
 func TestTournamentTable(t *testing.T) {
 	tbl, err := tournament(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := adversary.RunTournament(adversary.TournamentConfig{Seed: quickCfg().Seed})
+	res, err := RunTournament(TournamentConfig{Seed: quickCfg().Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

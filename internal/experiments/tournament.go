@@ -1,8 +1,9 @@
-package adversary
+package experiments
 
 import (
 	"fmt"
 
+	"nodesampling/internal/adversary"
 	"nodesampling/internal/core"
 	"nodesampling/internal/metrics"
 	"nodesampling/internal/rng"
@@ -53,13 +54,13 @@ func (c *TournamentConfig) SetDefaults() {
 
 func (c TournamentConfig) validate() error {
 	if c.Population < 16 {
-		return fmt.Errorf("adversary: tournament population %d too small (need ≥ 16)", c.Population)
+		return fmt.Errorf("tournament population %d too small (need ≥ 16)", c.Population)
 	}
 	if c.Capacity < 1 {
-		return fmt.Errorf("adversary: tournament capacity %d invalid", c.Capacity)
+		return fmt.Errorf("tournament capacity %d invalid", c.Capacity)
 	}
 	if c.Window < 1 || c.Ids < 2*c.Window {
-		return fmt.Errorf("adversary: tournament needs at least two windows (ids=%d window=%d)", c.Ids, c.Window)
+		return fmt.Errorf("tournament needs at least two windows (ids=%d window=%d)", c.Ids, c.Window)
 	}
 	return nil
 }
@@ -142,7 +143,7 @@ func tournamentAttacks() []tournamentAttack {
 			name:    "targeted-flood",
 			support: honest,
 			source: func(c TournamentConfig, r *rng.Xoshiro) (idSource, error) {
-				pmf, err := Peak(stream.UniformPMF(c.Population), 0, 0.5)
+				pmf, err := adversary.Peak(stream.UniformPMF(c.Population), 0, 0.5)
 				return categorical(pmf, err, r)
 			},
 		},
@@ -150,7 +151,7 @@ func tournamentAttacks() []tournamentAttack {
 			name:    "ballot-stuffing",
 			support: honest,
 			source: func(c TournamentConfig, r *rng.Xoshiro) (idSource, error) {
-				pmf, err := OverRepresent(stream.UniformPMF(c.Population), FirstIDs(c.Population/16), 0.8)
+				pmf, err := adversary.OverRepresent(stream.UniformPMF(c.Population), adversary.FirstIDs(c.Population/16), 0.8)
 				return categorical(pmf, err, r)
 			},
 		},
@@ -171,7 +172,7 @@ func tournamentAttacks() []tournamentAttack {
 			name:    "slow-trickle",
 			support: honest,
 			source: func(c TournamentConfig, r *rng.Xoshiro) (idSource, error) {
-				pmf, err := OverRepresent(stream.UniformPMF(c.Population), FirstIDs(8), 0.15)
+				pmf, err := adversary.OverRepresent(stream.UniformPMF(c.Population), adversary.FirstIDs(8), 0.15)
 				return categorical(pmf, err, r)
 			},
 		},
@@ -200,7 +201,7 @@ func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 	for ai, atk := range tournamentAttacks() {
 		cell, err := runCell(cfg, atk, cfg.Seed+uint64(ai)*0x9e37)
 		if err != nil {
-			return nil, fmt.Errorf("adversary: %s: %w", atk.name, err)
+			return nil, fmt.Errorf("%s: %w", atk.name, err)
 		}
 		res.Cells = append(res.Cells, cell)
 	}

@@ -104,13 +104,8 @@ type Universal2 struct {
 	mode Mode
 }
 
-// NewUniversal2 draws a random member of the family with range [0, k) under
-// the legacy modulo bucket map. It returns an error if k == 0.
-func NewUniversal2(k int, r *rng.Xoshiro) (Universal2, error) {
-	return NewUniversal2Mode(k, r, ModeModulo)
-}
-
-// NewUniversal2Mode draws a random member with an explicit bucket map mode.
+// NewUniversal2Mode draws a random member with range [0, k) under the given
+// bucket map mode; every constructor here names its mode, none defaults one.
 func NewUniversal2Mode(k int, r *rng.Xoshiro, mode Mode) (Universal2, error) {
 	if k <= 0 {
 		return Universal2{}, fmt.Errorf("hashing: bucket count must be positive, got %d", k)
@@ -135,15 +130,8 @@ func NewUniversal2Mode(k int, r *rng.Xoshiro, mode Mode) (Universal2, error) {
 // path's practical range.
 const maxFastrangeK = 1 << 31
 
-// NewUniversal2FromParams reconstructs a family member from its parameters
-// (for deserialising sketches); a must lie in [1, p−1] and b in [0, p−1].
-// The member uses the legacy modulo bucket map.
-func NewUniversal2FromParams(a, b uint64, k int) (Universal2, error) {
-	return NewUniversal2FromParamsMode(a, b, k, ModeModulo)
-}
-
-// NewUniversal2FromParamsMode is NewUniversal2FromParams with an explicit
-// bucket map mode, for sketches serialised after modes existed.
+// NewUniversal2FromParamsMode reconstructs a member from its parameters (a in
+// [1, p−1], b in [0, p−1]) and bucket map mode, for deserialising sketches.
 func NewUniversal2FromParamsMode(a, b uint64, k int, mode Mode) (Universal2, error) {
 	if k <= 0 {
 		return Universal2{}, fmt.Errorf("hashing: bucket count must be positive, got %d", k)
@@ -211,15 +199,8 @@ type Family struct {
 	mode Mode
 }
 
-// NewFamily draws s independent functions with range [0, k) under
-// ModeFastrange — the default for every newly built sketch. Families
-// reconstructed from pre-mode serialised parameters (NewFamilyFromParams)
-// stay on ModeModulo so their column maps never change.
-func NewFamily(s, k int, r *rng.Xoshiro) (*Family, error) {
-	return NewFamilyMode(s, k, r, ModeFastrange)
-}
-
-// NewFamilyMode draws s independent functions with an explicit bucket map.
+// NewFamilyMode draws s independent functions with range [0, k) under the
+// given bucket map mode (ModeFastrange for every newly built sketch).
 func NewFamilyMode(s, k int, r *rng.Xoshiro, mode Mode) (*Family, error) {
 	if s <= 0 {
 		return nil, fmt.Errorf("hashing: family size must be positive, got %d", s)
@@ -235,15 +216,8 @@ func NewFamilyMode(s, k int, r *rng.Xoshiro, mode Mode) (*Family, error) {
 	return &Family{fns: fns, mode: mode}, nil
 }
 
-// NewFamilyFromParams reconstructs a family from serialised member
-// parameters, all sharing the bucket count k, under the legacy modulo map —
-// the mode every sketch serialised before modes existed was built with.
-func NewFamilyFromParams(params [][2]uint64, k int) (*Family, error) {
-	return NewFamilyFromParamsMode(params, k, ModeModulo)
-}
-
-// NewFamilyFromParamsMode reconstructs a family with an explicit mode, for
-// deserialising sketches whose blob records one.
+// NewFamilyFromParamsMode reconstructs a family from serialised member
+// parameters, all sharing the bucket count k, under the blob's mode.
 func NewFamilyFromParamsMode(params [][2]uint64, k int, mode Mode) (*Family, error) {
 	if len(params) == 0 {
 		return nil, errors.New("hashing: empty parameter list")

@@ -71,21 +71,21 @@ func TestReduceModMersenne(t *testing.T) {
 
 func TestNewUniversal2Validation(t *testing.T) {
 	r := rng.New(4)
-	if _, err := NewUniversal2(0, r); err == nil {
-		t.Error("NewUniversal2(0) should fail")
+	if _, err := NewUniversal2Mode(0, r, ModeModulo); err == nil {
+		t.Error("NewUniversal2Mode(0) should fail")
 	}
-	if _, err := NewUniversal2(-3, r); err == nil {
-		t.Error("NewUniversal2(-3) should fail")
+	if _, err := NewUniversal2Mode(-3, r, ModeModulo); err == nil {
+		t.Error("NewUniversal2Mode(-3) should fail")
 	}
-	if _, err := NewUniversal2(10, nil); err == nil {
-		t.Error("NewUniversal2 with nil rng should fail")
+	if _, err := NewUniversal2Mode(10, nil, ModeModulo); err == nil {
+		t.Error("NewUniversal2Mode with nil rng should fail")
 	}
 }
 
 func TestUniversal2Range(t *testing.T) {
 	r := rng.New(5)
 	for _, k := range []int{1, 2, 7, 64, 1000} {
-		h, err := NewUniversal2(k, r)
+		h, err := NewUniversal2Mode(k, r, ModeModulo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestUniversal2CollisionBound(t *testing.T) {
 			continue
 		}
 		for j := 0; j < draws/pairs; j++ {
-			h, err := NewUniversal2(k, r)
+			h, err := NewUniversal2Mode(k, r, ModeModulo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestUniversal2Uniformity(t *testing.T) {
 	r := rng.New(7)
 	const k = 32
 	const n = 64000
-	h, err := NewUniversal2(k, r)
+	h, err := NewUniversal2Mode(k, r, ModeModulo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestUniversal2Uniformity(t *testing.T) {
 
 func TestFamilyIndependentFunctions(t *testing.T) {
 	r := rng.New(8)
-	f, err := NewFamily(5, 64, r)
+	f, err := NewFamilyMode(5, 64, r, ModeFastrange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestFamilyIndependentFunctions(t *testing.T) {
 
 func TestNewFamilyValidation(t *testing.T) {
 	r := rng.New(9)
-	if _, err := NewFamily(0, 8, r); err == nil {
-		t.Error("NewFamily(0, 8) should fail")
+	if _, err := NewFamilyMode(0, 8, r, ModeFastrange); err == nil {
+		t.Error("NewFamilyMode(0, 8) should fail")
 	}
-	if _, err := NewFamily(3, 0, r); err == nil {
-		t.Error("NewFamily(3, 0) should fail")
+	if _, err := NewFamilyMode(3, 0, r, ModeFastrange); err == nil {
+		t.Error("NewFamilyMode(3, 0) should fail")
 	}
 }
 
@@ -249,7 +249,7 @@ func TestMinWiseNilRNG(t *testing.T) {
 
 func BenchmarkUniversal2Hash(b *testing.B) {
 	r := rng.New(1)
-	h, err := NewUniversal2(1024, r)
+	h, err := NewUniversal2Mode(1024, r, ModeModulo)
 	if err != nil {
 		b.Fatal(err)
 	}

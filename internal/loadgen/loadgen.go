@@ -23,13 +23,13 @@ import (
 	"net/http"
 	"time"
 
-	"nodesampling"
 	"nodesampling/client"
 	"nodesampling/internal/adversary"
 	"nodesampling/internal/netgossip"
 	"nodesampling/internal/rng"
 	"nodesampling/internal/stream"
 	"nodesampling/internal/telemetry"
+	"nodesampling/nodeid"
 )
 
 // Config configures a Generator.
@@ -231,7 +231,7 @@ func (g *Generator) runPhase(ctx context.Context, ph Phase) (Report, error) {
 	scrape()
 	nextScrape := start.Add(g.cfg.ScrapeInterval)
 
-	batch := make([]nodesampling.NodeID, 0, g.cfg.Batch)
+	batch := make([]nodeid.NodeID, 0, g.cfg.Batch)
 	var pushAcks, sampleRTTs []time.Duration
 	sent, batches := 0, 0
 	for sent < ph.Count {
@@ -245,7 +245,7 @@ func (g *Generator) runPhase(ctx context.Context, ph Phase) (Report, error) {
 		}
 		batch = batch[:0]
 		for i := 0; i < n; i++ {
-			batch = append(batch, nodesampling.NodeID(ph.Source.Next()))
+			batch = append(batch, nodeid.NodeID(ph.Source.Next()))
 		}
 		batches++
 		began := time.Now()
@@ -332,15 +332,7 @@ func (g *Generator) runPhase(ctx context.Context, ph Phase) (Report, error) {
 // half of the exposition surface: any tool wanting the daemon's counters
 // without a Prometheus server goes through here.
 func (g *Generator) Scrape(ctx context.Context) (*telemetry.Scrape, error) {
-	return ScrapeMetrics(ctx, g.hc, g.cfg.MetricsURL, g.cfg.Token)
-}
-
-// ScrapeMetrics GETs a Prometheus text exposition endpoint and parses it,
-// presenting token as a bearer credential when non-empty. It is
-// client.ScrapeMetrics re-exported at the generator's level so loadgen
-// callers need only this package.
-func ScrapeMetrics(ctx context.Context, hc *http.Client, url, token string) (*telemetry.Scrape, error) {
-	return client.ScrapeMetrics(ctx, hc, url, token)
+	return client.ScrapeMetrics(ctx, g.hc, g.cfg.MetricsURL, g.cfg.Token)
 }
 
 // Scenario names for StandardPhases.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"nodesampling/client"
 	"nodesampling/internal/netgossip"
 )
 
@@ -226,7 +227,7 @@ func TestGeneratorScrapeToken(t *testing.T) {
 	if _, err := g.Scrape(context.Background()); err != nil {
 		t.Fatalf("authorised scrape: %v", err)
 	}
-	if _, err := ScrapeMetrics(context.Background(), nil, ms.URL, ""); err == nil {
+	if _, err := client.ScrapeMetrics(context.Background(), nil, ms.URL, ""); err == nil {
 		t.Fatal("tokenless scrape of a gated endpoint succeeded")
 	}
 }
@@ -380,7 +381,7 @@ func TestScrapeMetricsRejectsGarbage(t *testing.T) {
 		_, _ = io.WriteString(w, "this is not an exposition\n")
 	}))
 	defer ts.Close()
-	if _, err := ScrapeMetrics(context.Background(), nil, ts.URL, ""); err == nil {
+	if _, err := client.ScrapeMetrics(context.Background(), nil, ts.URL, ""); err == nil {
 		t.Fatal("garbage body parsed as an exposition")
 	}
 }

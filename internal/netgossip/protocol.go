@@ -21,3 +21,8 @@ const legacyMagic = 0x75
 // Bounding per-message work means a flood still has to arrive as many
 // frames, which the reader paces one at a time.
 const MaxBatch = 4096
+
+// MaxDecimation bounds a Subscribe frame's every-k interval; beyond it a
+// subscriber is asking for practically no stream at all. The daemon clamps
+// a larger request to it, and the hub and the client refuse one.
+const MaxDecimation = 1 << 20

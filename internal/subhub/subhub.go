@@ -47,6 +47,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nodesampling/internal/netgossip"
 )
 
 // ErrHubClosed is returned by Subscribe after Close.
@@ -56,10 +58,6 @@ var ErrHubClosed = errors.New("subhub: hub closed")
 // network daemon must not let one Subscribe request pin an arbitrary
 // allocation.
 const MaxSubscriptionBuffer = 1 << 20
-
-// MaxDecimation bounds a subscription's sample-every-k interval; beyond it
-// a subscriber is asking for practically no stream at all.
-const MaxDecimation = 1 << 20
 
 // Hub fans the output stream out to its current subscribers. All methods
 // are safe for concurrent use. A Hub is created with New and released with
@@ -100,7 +98,7 @@ func (h *Hub) Subscribe(capacity int) (*Subscription, error) {
 // themselves i.i.d. uniform. every == 1 delivers everything.
 func (h *Hub) SubscribeEvery(capacity, every int) (*Subscription, error) {
 	if every < 1 {
-		return nil, fmt.Errorf("subhub: decimation interval must be in [1, %d], got %d", MaxDecimation, every)
+		return nil, fmt.Errorf("subhub: decimation interval must be in [1, %d], got %d", netgossip.MaxDecimation, every)
 	}
 	return h.SubscribeWith(SubOptions{Capacity: capacity, Every: every})
 }
@@ -111,7 +109,7 @@ type SubOptions struct {
 	// Required, in [1, MaxSubscriptionBuffer].
 	Capacity int
 	// Every is the decimation interval (0 and 1 both deliver everything),
-	// at most MaxDecimation.
+	// at most netgossip.MaxDecimation, the Subscribe frame's limit.
 	Every int
 	// RatePerSec, when positive, caps delivery at that many ids per second
 	// via a token bucket with one second of burst; ids beyond the budget
@@ -135,8 +133,8 @@ func (h *Hub) SubscribeWith(o SubOptions) (*Subscription, error) {
 	if every == 0 {
 		every = 1
 	}
-	if every < 1 || every > MaxDecimation {
-		return nil, fmt.Errorf("subhub: decimation interval must be in [1, %d], got %d", MaxDecimation, every)
+	if every < 1 || every > netgossip.MaxDecimation {
+		return nil, fmt.Errorf("subhub: decimation interval must be in [1, %d], got %d", netgossip.MaxDecimation, every)
 	}
 	h.mu.Lock()
 	if h.closed {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nodesampling/internal/netgossip"
 )
 
 func TestSubscribeValidation(t *testing.T) {
@@ -152,7 +154,7 @@ func TestDecimation(t *testing.T) {
 	if _, err := h.SubscribeEvery(8, 0); err == nil {
 		t.Error("every=0 should fail")
 	}
-	if _, err := h.SubscribeEvery(8, MaxDecimation+1); err == nil {
+	if _, err := h.SubscribeEvery(8, netgossip.MaxDecimation+1); err == nil {
 		t.Error("every beyond MaxDecimation should fail")
 	}
 	const every = 5

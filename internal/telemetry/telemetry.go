@@ -1,17 +1,18 @@
 // Package telemetry is the operational observability plane of the node
 // sampling service: a dependency-free Prometheus registry and text-format
-// (version 0.0.4) exposition writer, collectors that adapt the counters the
-// serving plane already keeps — shard pool ingest, per-subscriber stream
-// accounting, autoscaler state — and a live uniformity gauge that turns the
+// (version 0.0.4) exposition writer with a Parse half for tooling that reads
+// it back, latency histograms, and a live uniformity gauge that turns the
 // paper's evaluation metric (KL divergence to uniform and the G_KL gain,
-// internal/metrics) into a scrapeable SLO signal.
+// internal/metrics) into a scrapeable SLO signal. It knows nothing of the
+// serving plane: the collectors that adapt the shard pool's and the
+// autoscaler's counters live with their one caller, cmd/unsd, so a client
+// that parses an exposition links no sampler.
 //
 // The package is deliberately pull-only: nothing here sits on the ingest
-// hot path. Collectors read atomics and take the same short-lived locks the
-// /stats endpoint already takes, and they do it at scrape time — a daemon
-// nobody scrapes pays nothing. Metric families follow the Prometheus
-// conventions (lowercase snake_case names, counters suffixed _total) and
-// every family exported by the daemon carries the unsd_ prefix.
+// hot path. Collectors read atomics and take short-lived locks at scrape
+// time — a daemon nobody scrapes pays nothing. Metric families follow the
+// Prometheus conventions (lowercase snake_case names, counters suffixed
+// _total) and every family exported by the daemon carries the unsd_ prefix.
 package telemetry
 
 import (

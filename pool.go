@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nodesampling/internal/core"
+	"nodesampling/internal/netgossip"
 	"nodesampling/internal/shard"
 	"nodesampling/internal/subhub"
 )
@@ -332,8 +333,8 @@ func (p *Pool) SubscribeEvery(capacity, every int) (*PoolSubscription, error) {
 	if capacity < 1 || capacity > subhub.MaxSubscriptionBuffer {
 		return nil, fmt.Errorf("nodesampling: subscription capacity must be in [1, %d], got %d", subhub.MaxSubscriptionBuffer, capacity)
 	}
-	if every < 1 || every > subhub.MaxDecimation {
-		return nil, fmt.Errorf("nodesampling: decimation interval must be in [1, %d], got %d", subhub.MaxDecimation, every)
+	if every < 1 || every > netgossip.MaxDecimation {
+		return nil, fmt.Errorf("nodesampling: decimation interval must be in [1, %d], got %d", netgossip.MaxDecimation, every)
 	}
 	inner, err := p.inner.SubscribeEvery(capacity, every)
 	if err != nil {

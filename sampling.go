@@ -10,14 +10,14 @@ import (
 	"nodesampling/internal/adversary"
 	"nodesampling/internal/core"
 	"nodesampling/internal/rng"
+	"nodesampling/nodeid"
 )
 
-// NodeID identifies a node. The paper draws identifiers from {1, …, 2^160}
-// (SHA-1 images); this implementation uses their first 64 bits, which keeps
-// the collision probability negligible at any simulated scale while leaving
-// the algorithms unchanged. Use HashID/HashString to derive ids from
+// NodeID identifies a node: the first 64 bits of the paper's SHA-1
+// identifiers. It is nodeid.NodeID, the leaf package that client-only code
+// imports instead of this one. Use HashID/HashString to derive ids from
 // arbitrary node names, addresses or certificates.
-type NodeID uint64
+type NodeID = nodeid.NodeID
 
 // HashID maps arbitrary bytes (a node certificate, address, public key) to
 // a NodeID via SHA-1, mirroring the paper's identifier construction.
